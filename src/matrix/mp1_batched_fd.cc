@@ -1,9 +1,8 @@
 #include "matrix/mp1_batched_fd.h"
 
-#include <utility>
-
 #include "linalg/vec_ops.h"
 #include "util/check.h"
+#include "util/contracts.h"
 
 namespace dmt {
 namespace matrix {
@@ -27,12 +26,19 @@ MP1BatchedFD::MP1BatchedFD(size_t num_sites, double eps)
 void MP1BatchedFD::ProcessRow(size_t site, const std::vector<double>& row) {
   SiteUpdate(site, row);
   DrainSite(site);  // only this site can have queued anything
+  // No final Compress(): the facade drains after every row, and a shrink
+  // per flush would cost more than the row budget it buys.
+  FoldDrainedRows();
 }
 
 void MP1BatchedFD::SiteUpdate(size_t site, const std::vector<double>& row) {
   DMT_CHECK_LT(site, site_sketches_.size());
+  const double mass = linalg::SquaredNorm(row);
+  // A zero row changes neither A^T A nor any F_i, but with tau = 0 (no
+  // broadcast seen yet) it would still flush and re-broadcast F-hat = 0.
+  if (mass == 0.0) return;
   site_sketches_[site].Append(row);
-  site_frob_[site] += linalg::SquaredNorm(row);
+  site_frob_[site] += mass;
 
   const double m = static_cast<double>(network_.num_sites());
   // site_fest_ is the F-hat of the last broadcast the site has seen; it
@@ -49,36 +55,54 @@ void MP1BatchedFD::EmitFlush(size_t site) {
   for (size_t r = 0; r < sk.rows(); ++r) network_.RecordVector(site);
   if (sk.rows() == 0) network_.RecordScalar(site);
 
-  const size_t dim = sk.dim();
-  outbox_[site].push_back(PendingFlush{std::move(sk), site_frob_[site]});
-  sk = sketch::FrequentDirections::WithEpsilon(eps_ / 2, dim);
+  Outbox& out = outbox_[site];
+  out.rows.AppendRows(sk.sketch());
+  out.frobs.push_back(site_frob_[site]);
+  sk.Reset();
   site_frob_[site] = 0.0;
 }
 
-void MP1BatchedFD::ApplyFlush(const PendingFlush& flush) {
-  coordinator_sketch_.Merge(flush.sketch);
-  coordinator_frob_ += flush.frob;
-
-  if (broadcast_frob_ == 0.0 ||
-      coordinator_frob_ / broadcast_frob_ > 1.0 + eps_ / 2.0) {
-    broadcast_frob_ = coordinator_frob_;
-    network_.RecordBroadcast();
-    network_.RecordRound();
-    for (auto& f : site_fest_) f = broadcast_frob_;
-  }
-}
-
+DMT_NO_ALLOC
 void MP1BatchedFD::DrainSite(size_t site) {
-  for (const PendingFlush& flush : outbox_[site]) ApplyFlush(flush);
-  outbox_[site].clear();
+  Outbox& out = outbox_[site];
+  for (double frob : out.frobs) {
+    coordinator_frob_ += frob;
+    if (broadcast_frob_ == 0.0 ||
+        coordinator_frob_ / broadcast_frob_ > 1.0 + eps_ / 2.0) {
+      broadcast_frob_ = coordinator_frob_;
+      network_.RecordBroadcast();
+      network_.RecordRound();
+      for (auto& f : site_fest_) f = broadcast_frob_;
+    }
+  }
+  out.frobs.clear();
+  StageRows(out.rows);
+  out.rows.ClearRows();
 }
 
+DMT_ALLOC_OK("grows the staging matrix only past the largest drain so far; later drains reuse its capacity")
+void MP1BatchedFD::StageRows(const linalg::Matrix& rows) {
+  drained_rows_.AppendRows(rows);
+}
+
+DMT_NO_ALLOC
+void MP1BatchedFD::FoldDrainedRows() {
+  coordinator_sketch_.AppendRows(drained_rows_);
+  drained_rows_.ClearRows();
+}
+
+DMT_NO_ALLOC
 void MP1BatchedFD::Synchronize() {
   for (size_t s = 0; s < outbox_.size(); ++s) DrainSite(s);
+  FoldDrainedRows();
+  coordinator_sketch_.Compress();
 }
 
+DMT_NO_ALLOC
 void MP1BatchedFD::SynchronizeSites(const uint32_t* sites, size_t count) {
   for (size_t i = 0; i < count; ++i) DrainSite(sites[i]);
+  FoldDrainedRows();
+  coordinator_sketch_.Compress();
 }
 
 linalg::Matrix MP1BatchedFD::CoordinatorSketch() const {

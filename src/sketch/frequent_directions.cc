@@ -45,31 +45,42 @@ void FrequentDirections::Append(const double* row, size_t n) {
   ShrinkIfNeeded();
 }
 
+DMT_NO_ALLOC
 void FrequentDirections::AppendRows(const linalg::Matrix& rows) {
   if (rows.rows() == 0) return;
   if (dim_ == 0) dim_ = rows.cols();
   DMT_CHECK_EQ(rows.cols(), dim_);
-  // Self-alias guard (same as Merge): appending from our own buffer while
-  // it grows and shrinks would read through dangling row pointers.
-  linalg::Matrix self_copy;
-  const linalg::Matrix* src = &rows;
   if (&rows == &buffer_) {
-    self_copy = buffer_;
-    src = &self_copy;
+    AppendOwnRows();
+    return;
   }
   // Bulk path: fill the buffer to its full capacity between shrinks, so a
   // block of n rows costs ~n / (capacity - ell) shrinks instead of the
   // row-at-a-time n / ell. The FD guarantee is unaffected: each shrink's
   // cutoff is the (ell+1)-th eigenvalue of whatever buffer it compresses,
   // and errors remain additive across shrinks.
+  EnsureShrinkWorkspace();
   const size_t cap = BufferCapacityRows();
-  const size_t n = src->rows();
-  for (size_t i = 0; i < n; ++i) {
+  const size_t n = rows.rows();
+  size_t i = 0;
+  while (i < n) {
     if (buffer_.rows() >= cap) Shrink();
-    buffer_.AppendRow(src->Row(i), dim_);
-    stream_sq_frob_ += linalg::SquaredNorm(src->Row(i), dim_);
+    const size_t at = buffer_.rows();
+    const size_t take = std::min(n - i, cap - at);
+    buffer_.ResizeRows(at + take);  // within the reservation: no realloc
+    std::copy(rows.Row(i), rows.Row(i) + take * dim_, buffer_.Row(at));
+    for (size_t k = 0; k < take; ++k) {
+      stream_sq_frob_ += linalg::SquaredNorm(rows.Row(i + k), dim_);
+    }
+    i += take;
   }
   ShrinkIfNeeded();  // restore the < 2*ell streaming invariant
+}
+
+DMT_ALLOC_OK("self-append only: the rows are copied out before the buffer holding them is refilled and shrunk")
+void FrequentDirections::AppendOwnRows() {
+  const linalg::Matrix copy = buffer_;
+  AppendRows(copy);
 }
 
 void FrequentDirections::Merge(const FrequentDirections& other) {
@@ -103,6 +114,18 @@ void FrequentDirections::Compress() {
   if (buffer_.rows() > ell_) Shrink();
 }
 
+void FrequentDirections::Reset() {
+  buffer_.ClearRows();
+  stream_sq_frob_ = 0.0;
+  total_shrinkage_ = 0.0;
+  shrink_count_ = 0;
+  lanczos_fallbacks_ = 0;
+  // A warm start would make the next shrink differ (in the last bits)
+  // from a fresh sketch's; both backends cold-start instead.
+  warm_seed_valid_ = false;
+  jacobi_warm_valid_ = false;
+}
+
 DMT_ALLOC_OK("one-time Jacobi-path workspace setup, gated on jacobi_ready_")
 void FrequentDirections::EnsureJacobiWorkspace() {
   if (jacobi_ready_) return;
@@ -119,6 +142,11 @@ void FrequentDirections::EnsureJacobiWorkspace() {
 
 DMT_ALLOC_OK("one-time shrink workspace setup; no-op once buffer and seed have the sketch's shape")
 void FrequentDirections::EnsureShrinkWorkspace() {
+  // An empty buffer has no shape until its first row; give it dim_ columns
+  // so the reservation below counts.
+  if (buffer_.rows() == 0 && buffer_.cols() != dim_) {
+    buffer_ = linalg::Matrix(0, dim_);
+  }
   buffer_.ReserveRows(BufferCapacityRows());
   if (warm_seed_.size() != dim_) {
     warm_seed_.assign(dim_, 0.0);

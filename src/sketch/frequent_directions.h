@@ -37,10 +37,11 @@
 //  * Sketches are mergeable [Agarwal et al. 2012]: Merge() bulk-appends
 //    the other sketch's rows and lets one shrink re-compress; errors add,
 //    so the combined sketch still satisfies the bound for A1 stacked on
-//    A2. Protocol MP1 relies on this at the coordinator. AppendRows uses
-//    the same bulk path: it fills the buffer to capacity before each
-//    shrink, so a block of n rows costs ~n/(3*ell) shrinks instead of the
-//    row-at-a-time n/ell.
+//    A2. AppendRows uses the same bulk path: it fills the buffer to
+//    capacity before each shrink, so a block of n rows costs ~n/(3*ell)
+//    shrinks instead of the row-at-a-time n/ell. Protocol MP1 relies on
+//    both at the coordinator: each drain feeds the rows of every shipped
+//    site sketch through one AppendRows.
 #ifndef DMT_SKETCH_FREQUENT_DIRECTIONS_H_
 #define DMT_SKETCH_FREQUENT_DIRECTIONS_H_
 
@@ -92,8 +93,17 @@ class FrequentDirections {
   /// guarantee holds with or without the final shrink).
   void Compress();
 
-  /// Current sketch rows (between ell and 2*ell rows; call Compress() first
-  /// if a hard ell-row budget is required).
+  /// Clears the sketch back to the state of a freshly constructed one with
+  /// the same ell, dim and shrink backend (no rows, zero mass, zero
+  /// shrinkage, cold eigensolver start) but keeps every workspace, so a
+  /// reused sketch does not reallocate. Later appends replay bit-for-bit
+  /// what a fresh sketch would compute.
+  void Reset();
+
+  /// Current sketch rows: fewer than 2*ell between public calls (fewer
+  /// than ell too while little has been appended, or after a shrink drops
+  /// zero directions); call Compress() first if a hard ell-row budget is
+  /// required.
   const linalg::Matrix& sketch() const { return buffer_; }
 
   /// ‖Bx‖² for unit-vector queries (x length dim()). Guarantee: for the
@@ -135,9 +145,12 @@ class FrequentDirections {
   size_t BufferCapacityRows() const { return 4 * ell_; }
 
   /// One-time (per sketch) allocation of what every shrink needs:
-  /// full-capacity buffer reservation and warm-seed storage. Shrink calls
-  /// it first, so the shrink paths themselves are DMT_NO_ALLOC.
+  /// full-capacity buffer reservation and warm-seed storage. Shrink and
+  /// AppendRows call it first, so they themselves are DMT_NO_ALLOC.
   void EnsureShrinkWorkspace();
+
+  /// AppendRows(buffer_): appends a copy of the current rows.
+  void AppendOwnRows();
 
   /// Lazily sizes the persistent d x d Gram workspace; only tall (n >= d)
   /// Lanczos shrinks ever need it, so it is not part of

@@ -259,6 +259,44 @@ TEST(FrequentDirectionsTest, SquaredNormAlongMatchesGram) {
   EXPECT_NEAR(fd.SquaredNormAlong(x), linalg::Dot(x, gx), 1e-9);
 }
 
+// Reset() empties the sketch but keeps its workspaces: the reused sketch
+// then computes exactly what a fresh one would, so the FD bound holds on
+// the new stream alone.
+TEST(FrequentDirectionsTest, ResetClearsStateAndReplaysAFreshSketch) {
+  const size_t ell = 6;
+  Rng rng(11);
+  Matrix a = linalg::RandomGaussianMatrix(300, 9, &rng);
+  FrequentDirections reused(ell);
+  for (size_t i = 0; i < a.rows(); ++i) reused.Append(a.Row(i), a.cols());
+  ASSERT_GT(reused.shrink_count(), 0u);
+  ASSERT_GT(reused.total_shrinkage(), 0.0);
+
+  reused.Reset();
+  EXPECT_EQ(reused.rows(), 0u);
+  EXPECT_EQ(reused.stream_squared_frobenius(), 0.0);
+  EXPECT_EQ(reused.total_shrinkage(), 0.0);
+  EXPECT_EQ(reused.shrink_count(), 0u);
+  EXPECT_EQ(reused.dim(), 9u);
+
+  Matrix b = linalg::RandomGaussianMatrix(200, 9, &rng);
+  FrequentDirections fresh(ell, 9);
+  for (size_t i = 0; i < b.rows(); ++i) {
+    reused.Append(b.Row(i), b.cols());
+    fresh.Append(b.Row(i), b.cols());
+  }
+  const double bound = b.SquaredFrobeniusNorm() / static_cast<double>(ell + 1);
+  EXPECT_LE(MaxUndercount(b, reused), bound + 1e-8);
+  EXPECT_GE(MinUndercount(b, reused), -1e-8 * b.SquaredFrobeniusNorm());
+  EXPECT_EQ(reused.stream_squared_frobenius(), fresh.stream_squared_frobenius());
+  EXPECT_EQ(reused.total_shrinkage(), fresh.total_shrinkage());
+  ASSERT_EQ(reused.rows(), fresh.rows());
+  for (size_t i = 0; i < fresh.rows(); ++i) {
+    for (size_t j = 0; j < fresh.dim(); ++j) {
+      EXPECT_EQ(reused.sketch()(i, j), fresh.sketch()(i, j));
+    }
+  }
+}
+
 TEST(FrequentDirectionsDeathTest, MergeEllMismatchAborts) {
   FrequentDirections a(4), b(5);
   b.Append({1.0, 2.0});
