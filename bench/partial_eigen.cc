@@ -1,22 +1,32 @@
-// Lanczos partial eigensolver vs full Jacobi on the FD shrink shape,
-// tracked as BENCH_partial_eigen.json.
+// FD shrink top-k solvers vs full Jacobi on the FD shrink shape, tracked
+// as BENCH_partial_eigen.json.
 //
 // Usage: partial_eigen [output.json]
 //   DMT_SCALE=small|default|paper selects the (ell, d) sweep; small keeps
-//   the CI smoke run to the d=256 column.
+//   the CI smoke run to the d=256 column plus the MP1 shape. Every scale
+//   includes the MP1 shape (ell = 20, d = 44), so the gates below cover
+//   both routes of the default shrink backend.
 //
-// Two comparisons per (ell, d) point:
-//  * solver: top ell+1 eigenpairs of a 2*ell x d buffer's Gram — thick
-//    restart Lanczos (linalg/lanczos.h; row matvecs when 2*ell < d, so
-//    the Gram is never materialized) against the full-spectrum route
-//    (blocked Gram build + Jacobi SymmetricEigen), with the eigenvalue
-//    agreement reported and gated.
-//  * fd_stream: FrequentDirections streaming throughput with the Lanczos
+// Each point reports the route FrequentDirections takes for its (ell, d)
+// ("route": "dense" or "lanczos"; FrequentDirections::UsesDenseShrink).
+// Two comparisons per point:
+//  * solver: top ell+1 eigenpairs of a 2*ell x d buffer's Gram on that
+//    route — dense Householder + QL on the blocked Gram
+//    (linalg/symmetric_eigen.h) or thick-restart Lanczos
+//    (linalg/lanczos.h; row matvecs when 2*ell < d, so the Gram is never
+//    materialized) — against the full-spectrum route (blocked Gram build
+//    + Jacobi SymmetricEigen), with the eigenvalue agreement reported and
+//    gated.
+//  * fd_stream: FrequentDirections streaming throughput with the default
 //    shrink backend vs the Jacobi reference backend, with the final
 //    covariance error of both sketches against the exact Gram — the two
 //    must agree within 1e-8 (hard DMT_CHECK, every scale).
+// Sub-0.1 s measurements are repeated until they take 0.1 s and report
+// the time per repetition; longer ones run once.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -24,6 +34,7 @@
 #include "linalg/kernels.h"
 #include "linalg/lanczos.h"
 #include "linalg/matrix.h"
+#include "linalg/symmetric_eigen.h"
 #include "matrix/error.h"
 #include "sketch/frequent_directions.h"
 #include "util/check.h"
@@ -44,13 +55,33 @@ linalg::Matrix GaussianRows(size_t n, size_t d, Rng* rng) {
   return a;
 }
 
+// Seconds per call of `fn`: one call, repeated until the calls together
+// take 0.1 s, so that sub-millisecond points are not one noisy reading.
+template <typename F>
+double SecondsPerCall(const F& fn) {
+  size_t calls = 0;
+  Timer t;
+  do {
+    fn();
+    ++calls;
+  } while (t.Seconds() < 0.1);
+  return t.Seconds() / static_cast<double>(calls);
+}
+
+const char* RouteName(size_t ell, size_t d) {
+  return sketch::FrequentDirections::UsesDenseShrink(ell, d) ? "dense"
+                                                             : "lanczos";
+}
+
 struct SolverPoint {
   size_t ell, d, rows, k;
+  const char* route;
   double jacobi_seconds;
-  double lanczos_seconds;
+  double topk_seconds;
   double speedup;
-  size_t lanczos_matvecs;
-  double rel_eig_diff;  // max |lambda_L - lambda_J| / lambda_1
+  size_t lanczos_matvecs;  // 0 on the dense route
+  size_t ql_iterations;    // 0 on the Lanczos route
+  double rel_eig_diff;  // max |lambda_topk - lambda_J| / lambda_1
 };
 
 SolverPoint MeasureSolver(size_t ell, size_t d, Rng* rng) {
@@ -58,34 +89,47 @@ SolverPoint MeasureSolver(size_t ell, size_t d, Rng* rng) {
   const size_t k = std::min(ell + 1, d);
   linalg::Matrix buffer = GaussianRows(n, d, rng);
 
-  SolverPoint p{ell, d, n, k, 0.0, 0.0, 0.0, 0, 0.0};
+  SolverPoint p{ell, d, n, k, RouteName(ell, d), 0.0, 0.0, 0.0, 0, 0, 0.0};
 
   // Full-spectrum reference: blocked Gram build + Jacobi, timed together
   // (that is what a full-decomposition shrink pays).
   linalg::EigenDecomposition full;
-  {
-    Timer t;
+  p.jacobi_seconds = SecondsPerCall([&] {
     linalg::Matrix gram(d, d);
     linalg::kernels::Gram(buffer.Row(0), n, d, gram.Row(0));
     full = linalg::SymmetricEigen(gram);
-    p.jacobi_seconds = t.Seconds();
-  }
+  });
 
+  // The route the FD shrink takes, with what it pays: the dense route
+  // builds the Gram and solves it, the Lanczos route matvecs on the rows
+  // (2*ell < d) or on the Gram.
   std::vector<double> vals;
   linalg::Matrix vecs;
-  linalg::LanczosInfo info;
-  {
-    Timer t;
-    linalg::LanczosOptions opts;
-    opts.tol = 1e-11;
-    info = n < d ? linalg::LanczosTopKOfRows(buffer, k, &vals, &vecs, opts)
-                 : linalg::LanczosTopKOfGram(buffer.Gram(), k, &vals, &vecs,
-                                             opts);
-    p.lanczos_seconds = t.Seconds();
+  bool converged = false;
+  if (sketch::FrequentDirections::UsesDenseShrink(ell, d)) {
+    p.topk_seconds = SecondsPerCall([&] {
+      linalg::Matrix gram(d, d);
+      linalg::kernels::Gram(buffer.Row(0), n, d, gram.Row(0));
+      linalg::SymmetricEigenSolver solver;
+      const linalg::SymmetricEigenInfo info =
+          solver.TopKOfGram(gram, k, &vals, &vecs);
+      converged = info.converged;
+      p.ql_iterations = info.ql_iterations;
+    });
+  } else {
+    p.topk_seconds = SecondsPerCall([&] {
+      linalg::LanczosOptions opts;
+      opts.tol = 1e-11;
+      const linalg::LanczosInfo info =
+          n < d ? linalg::LanczosTopKOfRows(buffer, k, &vals, &vecs, opts)
+                : linalg::LanczosTopKOfGram(buffer.Gram(), k, &vals, &vecs,
+                                            opts);
+      converged = info.converged;
+      p.lanczos_matvecs = info.matvecs;
+    });
   }
-  DMT_CHECK(info.converged);
-  p.lanczos_matvecs = info.matvecs;
-  p.speedup = p.jacobi_seconds / p.lanczos_seconds;
+  DMT_CHECK(converged);
+  p.speedup = p.jacobi_seconds / p.topk_seconds;
 
   const double scale = std::max(full.eigenvalues.front(), 1e-300);
   for (size_t i = 0; i < k; ++i) {
@@ -98,12 +142,13 @@ SolverPoint MeasureSolver(size_t ell, size_t d, Rng* rng) {
 
 struct StreamPoint {
   size_t ell, d, rows;
+  const char* route;
   double jacobi_rows_per_sec;
-  double lanczos_rows_per_sec;
+  double topk_rows_per_sec;
   double speedup;
-  size_t jacobi_shrinks, lanczos_shrinks;
+  size_t jacobi_shrinks, topk_shrinks;
   double cov_err_jacobi;
-  double cov_err_lanczos;
+  double cov_err_topk;
   double abs_err_diff;
 };
 
@@ -116,24 +161,25 @@ StreamPoint MeasureStream(size_t ell, size_t d, Rng* rng) {
   const auto run = [&](sketch::FdShrinkBackend backend, double* seconds,
                        size_t* shrinks) {
     sketch::FrequentDirections fd(ell, d);
-    fd.set_shrink_backend(backend);
-    Timer t;
-    for (size_t i = 0; i < n; ++i) fd.Append(a.Row(i), d);
-    *seconds = t.Seconds();
+    *seconds = SecondsPerCall([&] {
+      fd = sketch::FrequentDirections(ell, d);
+      fd.set_shrink_backend(backend);
+      for (size_t i = 0; i < n; ++i) fd.Append(a.Row(i), d);
+    });
     *shrinks = fd.shrink_count();
     return matrix::CovarianceError(truth, fd.Gram());
   };
 
-  StreamPoint p{ell, d, n, 0, 0, 0, 0, 0, 0, 0, 0};
-  double sj = 0.0, sl = 0.0;
+  StreamPoint p{ell, d, n, RouteName(ell, d), 0, 0, 0, 0, 0, 0, 0, 0};
+  double sj = 0.0, st = 0.0;
   p.cov_err_jacobi = run(sketch::FdShrinkBackend::kJacobi, &sj,
                          &p.jacobi_shrinks);
-  p.cov_err_lanczos = run(sketch::FdShrinkBackend::kLanczos, &sl,
-                          &p.lanczos_shrinks);
+  p.cov_err_topk = run(sketch::FdShrinkBackend::kLanczos, &st,
+                       &p.topk_shrinks);
   p.jacobi_rows_per_sec = n / sj;
-  p.lanczos_rows_per_sec = n / sl;
-  p.speedup = sj / sl;
-  p.abs_err_diff = std::fabs(p.cov_err_jacobi - p.cov_err_lanczos);
+  p.topk_rows_per_sec = n / st;
+  p.speedup = sj / st;
+  p.abs_err_diff = std::fabs(p.cov_err_jacobi - p.cov_err_topk);
   return p;
 }
 
@@ -156,15 +202,21 @@ int main(int argc, char** argv) {
     ells = {16, 64};  // CI smoke: seconds, not minutes
     dims = {256};
   }
+  // (ell, d) points: the sweep, then the MP1 shape (PAMAP, eps = 0.05)
+  // at every scale. It goes last so the sweep points draw the same rows
+  // from the Rng as they did before it was added.
+  std::vector<std::pair<size_t, size_t>> points;
+  for (size_t d : dims) {
+    for (size_t ell : ells) points.emplace_back(ell, d);
+  }
+  points.emplace_back(20, 44);
 
   Rng rng(777);
   std::vector<SolverPoint> solver;
   std::vector<StreamPoint> streams;
-  for (size_t d : dims) {
-    for (size_t ell : ells) {
-      solver.push_back(MeasureSolver(ell, d, &rng));
-      streams.push_back(MeasureStream(ell, d, &rng));
-    }
+  for (const auto& [ell, d] : points) {
+    solver.push_back(MeasureSolver(ell, d, &rng));
+    streams.push_back(MeasureStream(ell, d, &rng));
   }
 
   bench::EmitBenchJson(out_path, "partial_eigen", [&](FILE* f) {
@@ -173,12 +225,14 @@ int main(int argc, char** argv) {
       const SolverPoint& p = solver[i];
       std::fprintf(f,
                    "    {\"ell\": %zu, \"d\": %zu, \"rows\": %zu, "
-                   "\"k\": %zu, \"jacobi_seconds\": %.6f, "
-                   "\"lanczos_seconds\": %.6f, \"speedup\": %.3f, "
-                   "\"lanczos_matvecs\": %zu, \"rel_eig_diff\": %.3e}%s\n",
-                   p.ell, p.d, p.rows, p.k, p.jacobi_seconds,
-                   p.lanczos_seconds, p.speedup, p.lanczos_matvecs,
-                   p.rel_eig_diff, i + 1 < solver.size() ? "," : "");
+                   "\"k\": %zu, \"route\": \"%s\", "
+                   "\"jacobi_seconds\": %.6f, \"topk_seconds\": %.6f, "
+                   "\"speedup\": %.3f, \"lanczos_matvecs\": %zu, "
+                   "\"ql_iterations\": %zu, \"rel_eig_diff\": %.3e}%s\n",
+                   p.ell, p.d, p.rows, p.k, p.route, p.jacobi_seconds,
+                   p.topk_seconds, p.speedup, p.lanczos_matvecs,
+                   p.ql_iterations, p.rel_eig_diff,
+                   i + 1 < solver.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"fd_stream\": [\n");
@@ -187,24 +241,25 @@ int main(int argc, char** argv) {
       std::fprintf(
           f,
           "    {\"ell\": %zu, \"d\": %zu, \"rows\": %zu, "
-          "\"jacobi_rows_per_sec\": %.0f, \"lanczos_rows_per_sec\": %.0f, "
-          "\"speedup\": %.3f, \"jacobi_shrinks\": %zu, "
-          "\"lanczos_shrinks\": %zu, \"cov_err_jacobi\": %.10f, "
-          "\"cov_err_lanczos\": %.10f, \"abs_err_diff\": %.3e}%s\n",
-          p.ell, p.d, p.rows, p.jacobi_rows_per_sec, p.lanczos_rows_per_sec,
-          p.speedup, p.jacobi_shrinks, p.lanczos_shrinks, p.cov_err_jacobi,
-          p.cov_err_lanczos, p.abs_err_diff,
+          "\"route\": \"%s\", \"jacobi_rows_per_sec\": %.0f, "
+          "\"topk_rows_per_sec\": %.0f, \"speedup\": %.3f, "
+          "\"jacobi_shrinks\": %zu, \"topk_shrinks\": %zu, "
+          "\"cov_err_jacobi\": %.10f, \"cov_err_topk\": %.10f, "
+          "\"abs_err_diff\": %.3e}%s\n",
+          p.ell, p.d, p.rows, p.route, p.jacobi_rows_per_sec,
+          p.topk_rows_per_sec, p.speedup, p.jacobi_shrinks, p.topk_shrinks,
+          p.cov_err_jacobi, p.cov_err_topk, p.abs_err_diff,
           i + 1 < streams.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n");
   });
 
-  // Hard gates (every scale): the partial solver must agree with the full
-  // decomposition, and the Lanczos-backed FD must leave the covariance
+  // Hard gates (every scale): the top-k solver must agree with the full
+  // decomposition, and the default-backend FD must leave the covariance
   // error unchanged within 1e-8.
   for (const auto& p : solver) DMT_CHECK_LT(p.rel_eig_diff, 1e-9);
   for (const auto& p : streams) {
-    DMT_CHECK_EQ(p.jacobi_shrinks, p.lanczos_shrinks);
+    DMT_CHECK_EQ(p.jacobi_shrinks, p.topk_shrinks);
     DMT_CHECK_LT(p.abs_err_diff, 1e-8);
   }
   return 0;

@@ -3,8 +3,12 @@
 // Every decomposition in this library reduces to a small (d <= a few
 // hundred) symmetric eigenproblem: Frequent Directions shrinks, protocol
 // MP2's per-site direction checks, and the covariance-error metric all work
-// on d x d Gram matrices. Jacobi is simple, unconditionally stable, and for
-// the sizes here within a small factor of LAPACK.
+// on d x d Gram matrices. Jacobi is simple, unconditionally stable and
+// cheap to warm-start (JacobiDiagonalizeInPlace), which is why it stays the
+// exact reference and the warm-started FD reference backend. It is not
+// fast from a cold start: at 44 x 44 one cold decomposition costs ~7x the
+// Householder + QL solve of linalg/symmetric_eigen.h, which is what the
+// default FD shrink uses once ell+1 pairs are about half the spectrum.
 #ifndef DMT_LINALG_JACOBI_EIGEN_H_
 #define DMT_LINALG_JACOBI_EIGEN_H_
 

@@ -99,8 +99,9 @@ LanczosInfo LanczosSolver::TopK(size_t d, size_t k,
     return info;
   }
   k = std::min(k, d);
-  size_t m = opts.basis_size != 0 ? opts.basis_size : 2 * k + 8;
-  m = std::min(std::max(m, k + 2), d);
+  const size_t m = opts.basis_size != 0
+                       ? std::min(std::max(opts.basis_size, k + 2), d)
+                       : DefaultBasisSize(d, k);
   EnsureWorkspace(d, m);
 
   // Seed the basis.

@@ -1,14 +1,18 @@
 // Partial symmetric eigensolver: thick-restart Lanczos with full
 // reorthogonalization and residual-based stopping.
 //
-// Every hot decomposition in this library needs only a few leading
+// Most hot decompositions in this library need only a few leading
 // eigenpairs: the Frequent Directions shrink uses the top ell+1 pairs of
 // a (at most 4*ell) x d buffer's Gram, MP2's threshold checks need just
 // the eigenvalues at or above the send threshold, and the covariance
 // error metric needs the two spectral extremes. Diagonalizing the full
 // d x d spectrum with Jacobi for those is the dominant cost at large d;
 // this solver computes the top-k pairs at O(k) matrix-vector products
-// plus small dense work instead.
+// plus small dense work instead. That only pays while k is a small part
+// of d: once the basis DefaultBasisSize(d, k) spans R^d the solve is a
+// full diagonalization with extra steps, and the FD shrink switches to
+// the dense solver of linalg/symmetric_eigen.h (see
+// FrequentDirections::UsesDenseShrink).
 //
 // Algorithm: build an orthonormal Krylov basis (full reorthogonalization
 // against the whole basis, twice — the small basis makes this cheap and
@@ -37,6 +41,7 @@
 #ifndef DMT_LINALG_LANCZOS_H_
 #define DMT_LINALG_LANCZOS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <type_traits>
 #include <vector>
@@ -131,6 +136,14 @@ class LanczosSolver {
                          std::vector<double>* eigenvalues,
                          Matrix* eigenvectors,
                          const LanczosOptions& opts = LanczosOptions());
+
+  /// Krylov basis rows per cycle for a top-k solve on R^d when
+  /// LanczosOptions::basis_size is 0: min(2k + 8, d), k clamped to d.
+  /// When this equals d the basis spans the whole space and the solve is
+  /// a full Rayleigh-Ritz diagonalization, not a partial one.
+  static size_t DefaultBasisSize(size_t d, size_t k) {
+    return std::min(2 * std::min(k, d) + 8, d);
+  }
 
  private:
   // Allocation is confined to these DMT_ALLOC_OK setup helpers (see the

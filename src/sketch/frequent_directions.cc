@@ -154,10 +154,10 @@ void FrequentDirections::EnsureShrinkWorkspace() {
   }
 }
 
-DMT_ALLOC_OK("lazy d x d Gram workspace; only tall (n >= d) Lanczos shrinks pay for it, once")
-void FrequentDirections::EnsureLanczosGram() {
-  if (lanczos_gram_.rows() != dim_) {
-    lanczos_gram_ = linalg::Matrix(dim_, dim_);
+DMT_ALLOC_OK("lazy d x d Gram workspace; dense-route and tall Lanczos shrinks pay for it, once")
+void FrequentDirections::EnsureShrinkGram() {
+  if (shrink_gram_.rows() != dim_) {
+    shrink_gram_ = linalg::Matrix(dim_, dim_);
   }
 }
 
@@ -170,17 +170,17 @@ void FrequentDirections::Shrink() {
     ShrinkJacobi();
     return;
   }
-  if (!ShrinkLanczos()) {
-    // Residual tolerance missed (adversarial seed/spectrum): rerun this
-    // shrink on the exact reference path. The buffer is untouched until a
-    // Lanczos solve succeeds, so the rerun sees the same rows.
+  if (!ShrinkTopK()) {
+    // Residual tolerance or QL iteration cap missed: rerun this shrink on
+    // the exact reference path. The buffer is untouched until a solve
+    // succeeds, so the rerun sees the same rows.
     ++lanczos_fallbacks_;
     ShrinkJacobi();
   }
 }
 
 DMT_NO_ALLOC
-bool FrequentDirections::ShrinkLanczos() {
+bool FrequentDirections::ShrinkTopK() {
   const size_t d = dim_;
   const size_t n = buffer_.rows();
   const size_t k = std::min(ell_ + 1, d);
@@ -189,22 +189,34 @@ bool FrequentDirections::ShrinkLanczos() {
   opts.tol = 1e-11;
   if (warm_seed_valid_) opts.seed = warm_seed_.data();
 
-  linalg::LanczosInfo info;
-  if (n < d) {
-    // Buffer currently wider than tall: iterate on the rows directly —
-    // each matvec is two GEMV-shaped passes, y = B^T (B x) — so the
-    // d x d Gram is never materialized. This covers every shrink when
-    // 4*ell < d, and streaming (2*ell-row) shrinks up to d > 2*ell.
-    info = eigensolver_.TopKOfRows(buffer_, k, &eigenvalues_,
-                                   &eigenvectors_, opts);
+  const bool dense = UsesDenseShrink(ell_, d);
+  bool converged;
+  if (!dense && n < d) {
+    // Lanczos on a buffer currently wider than tall: iterate on the rows
+    // directly — each matvec is two GEMV-shaped passes, y = B^T (B x) —
+    // so the d x d Gram is never materialized. This covers every shrink
+    // when 4*ell < d.
+    converged = eigensolver_
+                    .TopKOfRows(buffer_, k, &eigenvalues_, &eigenvectors_,
+                                opts)
+                    .converged;
   } else {
-    // Tall buffer: one blocked Gram build, then d^2 matvecs on it.
-    EnsureLanczosGram();
-    linalg::kernels::Gram(buffer_.Row(0), n, d, lanczos_gram_.Row(0));
-    info = eigensolver_.TopKOfGram(lanczos_gram_, k, &eigenvalues_,
-                                   &eigenvectors_, opts);
+    // One blocked Gram build, then a dense tridiagonal QL solve of it
+    // (ell+1 pairs are about half the spectrum or more, so a Lanczos
+    // basis would span R^d anyway) or, for a tall buffer, Lanczos
+    // matvecs on it.
+    EnsureShrinkGram();
+    linalg::kernels::Gram(buffer_.Row(0), n, d, shrink_gram_.Row(0));
+    converged = dense ? dense_solver_
+                            .TopKOfGram(shrink_gram_, k, &eigenvalues_,
+                                        &eigenvectors_)
+                            .converged
+                      : eigensolver_
+                            .TopKOfGram(shrink_gram_, k, &eigenvalues_,
+                                        &eigenvectors_, opts)
+                            .converged;
   }
-  if (!info.converged) return false;
+  if (!converged) return false;
 
   const double delta =
       ell_ < d ? std::max(0.0, eigenvalues_[ell_]) : 0.0;

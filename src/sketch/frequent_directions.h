@@ -12,17 +12,25 @@
 //  * A shrink only ever needs the top ell+1 eigenpairs of the buffer's
 //    Gram (the FD analysis [Liberty KDD'13; Ghashami & Phillips SODA'14]
 //    depends only on delta = lambda_{ell+1} and the leading subspace).
-//    The default shrink backend is therefore a thick-restart Lanczos
-//    partial eigensolver (linalg/lanczos.h): whenever the buffer is
-//    currently wider than tall (fewer rows than columns — always the
-//    case when 4*ell < d, and for streaming 2*ell-row shrinks whenever
-//    2*ell < d) it iterates directly on the rows — two GEMV-shaped
-//    passes per matvec, never materializing the d x d Gram — and
-//    otherwise on a persistent Gram workspace. The Krylov seed is
-//    warm-started from the previous shrink's leading eigenvector. If a
-//    solve ever fails its residual test (not observed in practice; see
-//    lanczos_fallback_count) the shrink transparently reruns on the
-//    Jacobi reference path.
+//    The default backend solves for exactly those, on one of two routes
+//    fixed by (ell, d) alone (UsesDenseShrink):
+//     - Dense, when the Lanczos basis min(2(ell+1)+8, d) would span R^d
+//       anyway (2*ell + 10 >= d, e.g. ell = 20, d = 44): one blocked Gram
+//       build, then Householder tridiagonalization + implicit QL
+//       (linalg/symmetric_eigen.h). Lanczos would diagonalize the full
+//       projected matrix there too, after building a reorthogonalized
+//       basis of the whole space; the dense solve is ~6x cheaper.
+//     - Thick-restart Lanczos (linalg/lanczos.h) otherwise, i.e. where
+//       ell+1 pairs are a small part of the spectrum. Whenever the buffer
+//       is currently wider than tall (fewer rows than columns — always
+//       the case when 4*ell < d) it iterates directly on the rows — two
+//       GEMV-shaped passes per matvec, never materializing the d x d
+//       Gram — and otherwise on a persistent Gram workspace. The Krylov
+//       seed is warm-started from the previous shrink's leading
+//       eigenvector.
+//    If either solve ever fails (Lanczos residual test or QL iteration
+//    cap; not observed in practice; see lanczos_fallback_count) the
+//    shrink transparently reruns on the Jacobi reference path.
 //  * The full-spectrum Jacobi pipeline is kept as the reference backend
 //    (set_shrink_backend / DMT_FD_BACKEND=jacobi): allocation-free and
 //    warm-started, it keeps the surviving rows as exact scaled
@@ -50,13 +58,16 @@
 
 #include "linalg/lanczos.h"
 #include "linalg/matrix.h"
+#include "linalg/symmetric_eigen.h"
 
 namespace dmt {
 namespace sketch {
 
 /// Which eigensolver a FrequentDirections shrink uses.
 enum class FdShrinkBackend {
-  /// Thick-restart Lanczos, top ell+1 pairs only (the default fast path).
+  /// Top ell+1 pairs only (the default fast path): dense tridiagonal QL
+  /// when Lanczos would span R^d anyway, thick-restart Lanczos otherwise
+  /// (see UsesDenseShrink).
   kLanczos,
   /// Full-spectrum warm-started cyclic Jacobi (the reference path).
   kJacobi,
@@ -129,15 +140,24 @@ class FrequentDirections {
   size_t shrink_count() const { return shrink_count_; }
 
   /// Selects the shrink eigensolver. May be switched at any time — the
-  /// Jacobi path cold-starts after a Lanczos shrink (its warm-start
+  /// Jacobi path cold-starts after a default-backend shrink (its warm-start
   /// invariant no longer holds) and re-warms from there.
   void set_shrink_backend(FdShrinkBackend backend) { backend_ = backend; }
   FdShrinkBackend shrink_backend() const { return backend_; }
   /// Process-wide default backend: Lanczos unless DMT_FD_BACKEND=jacobi.
   static FdShrinkBackend DefaultShrinkBackend();
-  /// Shrinks where the Lanczos solve missed its residual tolerance and
-  /// the Jacobi reference path ran instead (expected 0; observability).
+  /// Shrinks where the default backend's solve failed (Lanczos residual
+  /// tolerance or dense QL iteration cap) and the Jacobi reference path
+  /// ran instead (expected 0; observability).
   size_t lanczos_fallback_count() const { return lanczos_fallbacks_; }
+
+  /// Route of the default backend for an (ell, dim) sketch: true when the
+  /// top ell+1 pairs are solved densely (the Lanczos basis for them,
+  /// LanczosSolver::DefaultBasisSize, would span all of R^dim), false
+  /// when Lanczos runs.
+  static bool UsesDenseShrink(size_t ell, size_t dim) {
+    return linalg::LanczosSolver::DefaultBasisSize(dim, ell + 1) == dim;
+  }
 
  private:
   /// Buffer capacity in rows: 2*ell for streaming plus head-room so the
@@ -152,10 +172,10 @@ class FrequentDirections {
   /// AppendRows(buffer_): appends a copy of the current rows.
   void AppendOwnRows();
 
-  /// Lazily sizes the persistent d x d Gram workspace; only tall (n >= d)
-  /// Lanczos shrinks ever need it, so it is not part of
-  /// EnsureShrinkWorkspace.
-  void EnsureLanczosGram();
+  /// Lazily sizes the persistent d x d Gram workspace. Dense-route shrinks
+  /// and tall (n >= d) Lanczos shrinks need it; wide Lanczos shrinks
+  /// never do, so it is not part of EnsureShrinkWorkspace.
+  void EnsureShrinkGram();
 
   /// One-time (per sketch) allocation of the Jacobi-path workspaces,
   /// deferred until the first Jacobi shrink so Lanczos-backed sketches
@@ -165,11 +185,12 @@ class FrequentDirections {
   void ShrinkIfNeeded();
   void Shrink();
   /// Jacobi reference shrink (cold-starts when jacobi_warm_valid_ is
-  /// false, e.g. right after a Lanczos shrink).
+  /// false, e.g. right after a default-backend shrink).
   void ShrinkJacobi();
-  /// Lanczos partial shrink; returns false if the solve did not converge
-  /// (caller then runs ShrinkJacobi on the untouched buffer).
-  bool ShrinkLanczos();
+  /// Default-backend shrink (dense or Lanczos route, top ell+1 pairs);
+  /// returns false if the solve did not converge (caller then runs
+  /// ShrinkJacobi on the untouched buffer).
+  bool ShrinkTopK();
 
   size_t ell_;
   size_t dim_;
@@ -180,19 +201,20 @@ class FrequentDirections {
   FdShrinkBackend backend_;
   size_t lanczos_fallbacks_ = 0;
 
-  // --- Lanczos backend state (allocated lazily on first use) ---
-  linalg::LanczosSolver eigensolver_;
+  // --- Default backend state (allocated lazily on first use) ---
+  linalg::LanczosSolver eigensolver_;         // Lanczos route
+  linalg::SymmetricEigenSolver dense_solver_;  // dense route
   std::vector<double> eigenvalues_;   // top ell+1, descending
   linalg::Matrix eigenvectors_;       // (ell+1) x d eigenvector rows
   std::vector<double> warm_seed_;     // previous shrink's leading vector
   bool warm_seed_valid_ = false;      // warm_seed_ holds a real eigenvector
-  linalg::Matrix lanczos_gram_;       // d x d, only for tall (n >= d) shrinks
+  linalg::Matrix shrink_gram_;        // d x d; dense route, tall Lanczos
 
   // --- Jacobi backend state (see EnsureJacobiWorkspace) ---
   bool jacobi_ready_ = false;
   // True when the warm-start invariant holds: buffer rows [0, kept_rows_)
   // are exact scaled eigenvectors of basis_ with diagonal Gram stored in
-  // gram_work_. A Lanczos shrink invalidates it.
+  // gram_work_. A default-backend shrink invalidates it.
   bool jacobi_warm_valid_ = false;
   size_t kept_rows_ = 0;
   linalg::Matrix basis_;       // d x d rotation carried across shrinks

@@ -220,10 +220,10 @@ TEST(FdShrinkTest, AppendRowsBulkPathShrinksFarLessOften) {
             -1e-8 * bulk.stream_squared_frobenius());
 }
 
-// Tentpole equivalence: the Lanczos-backed FD must match the Jacobi
-// reference backend shrink-for-shrink — same shrink schedule, matching
-// shrinkage accounting and spectra, and a coordinator-level covariance
-// error that agrees within 1e-8.
+// The default backend must match the Jacobi reference backend
+// shrink-for-shrink — same shrink schedule, matching shrinkage accounting
+// and spectra, and a coordinator-level covariance error that agrees within
+// 1e-8. At ell = 8, d = 20 it takes the dense route (2*ell + 10 >= d).
 TEST(FdShrinkTest, LanczosBackendMatchesJacobiBackend) {
   const size_t ell = 8, d = 20, n = 800;
   FrequentDirections lanczos(ell, d);
@@ -268,6 +268,7 @@ TEST(FdShrinkTest, LanczosBackendMatchesJacobiBackend) {
 // reference.
 TEST(FdShrinkTest, LanczosBackendMatchesJacobiInWideRegime) {
   const size_t ell = 4, d = 48, n = 200;  // 4*ell = 16 < d
+  ASSERT_FALSE(FrequentDirections::UsesDenseShrink(ell, d));
   FrequentDirections lanczos(ell, d);
   lanczos.set_shrink_backend(FdShrinkBackend::kLanczos);
   FrequentDirections jacobi(ell, d);
@@ -288,6 +289,70 @@ TEST(FdShrinkTest, LanczosBackendMatchesJacobiInWideRegime) {
     EXPECT_NEAR(sl[i] * sl[i], sj[i] * sj[i], 1e-8 * scale) << "i=" << i;
   }
 }
+
+// One shape per route of the default backend, each against the Jacobi
+// reference backend on the same stream: the MP1 shape (ell = 20, d = 44)
+// solved densely, ell >= d (dense, delta = 0), the streaming Lanczos
+// route on rows (ell = 16, d = 256), and the tall-buffer Lanczos route
+// on a Gram, which only bulk AppendRows reaches (2*ell + 10 < d <= 4*ell).
+struct RouteCase {
+  size_t ell, d, n;
+  bool bulk;   // feed through AppendRows instead of Append
+  bool dense;  // expected UsesDenseShrink(ell, d)
+};
+
+class ShrinkRouteTest : public ::testing::TestWithParam<RouteCase> {};
+
+TEST_P(ShrinkRouteTest, MatchesJacobiBackendAndKeepsTheBound) {
+  const RouteCase c = GetParam();
+  ASSERT_EQ(FrequentDirections::UsesDenseShrink(c.ell, c.d), c.dense);
+  FrequentDirections fast(c.ell, c.d);
+  fast.set_shrink_backend(FdShrinkBackend::kLanczos);
+  FrequentDirections jacobi(c.ell, c.d);
+  jacobi.set_shrink_backend(FdShrinkBackend::kJacobi);
+
+  Matrix a;
+  for (const auto& r : GaussianRows(c.n, c.d, 1000 + c.ell + c.d)) {
+    a.AppendRow(r);
+  }
+  if (c.bulk) {
+    fast.AppendRows(a);
+    jacobi.AppendRows(a);
+  } else {
+    for (size_t i = 0; i < a.rows(); ++i) {
+      fast.Append(a.Row(i), c.d);
+      jacobi.Append(a.Row(i), c.d);
+    }
+  }
+  ASSERT_GE(fast.shrink_count(), 3u);
+  EXPECT_EQ(fast.shrink_count(), jacobi.shrink_count());
+  EXPECT_EQ(fast.lanczos_fallback_count(), 0u);
+
+  const double scale = fast.stream_squared_frobenius();
+  EXPECT_NEAR(fast.total_shrinkage(), jacobi.total_shrinkage(),
+              1e-8 * scale);
+  std::vector<double> sf = Spectrum(fast.sketch(), c.d);
+  std::vector<double> sj = Spectrum(jacobi.sketch(), c.d);
+  for (size_t i = 0; i < c.d; ++i) {
+    EXPECT_NEAR(sf[i] * sf[i], sj[i] * sj[i], 1e-8 * scale) << "i=" << i;
+  }
+
+  // FD bound: 0 <= A^T A - B^T B <= total_shrinkage <= ||A||_F^2/(ell+1).
+  EXPECT_LE(fast.total_shrinkage(),
+            scale / static_cast<double>(c.ell + 1) + 1e-9 * scale);
+  Matrix diff = a.Gram();
+  diff.Subtract(fast.Gram());
+  linalg::EigenDecomposition e = linalg::SymmetricEigen(diff);
+  EXPECT_LE(e.eigenvalues.front(), fast.total_shrinkage() + 1e-8 * scale);
+  EXPECT_GE(e.eigenvalues.back(), -1e-8 * scale);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Routes, ShrinkRouteTest,
+    ::testing::Values(RouteCase{20, 44, 400, false, true},
+                      RouteCase{12, 10, 200, false, true},
+                      RouteCase{16, 256, 80, false, false},
+                      RouteCase{16, 50, 400, true, false}));
 
 // Satellite regression: a degenerate spectrum with lambda_ell ==
 // lambda_{ell+1} exactly (orthogonal rows of equal norm) makes the shrink
