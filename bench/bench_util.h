@@ -44,9 +44,37 @@
 #include "util/check.h"
 #include "util/env.h"
 #include "util/table_printer.h"
+#include "util/timer.h"
 
 namespace dmt {
 namespace bench {
+
+/// Adaptive best-effort timing: one warm-up call (caches, page-ins),
+/// then repeats `fn` until `budget` seconds of samples accumulate and
+/// returns seconds per call (minimum over batches, to shed scheduler
+/// noise). A warm-up call that alone takes the whole budget is the
+/// measurement: a multi-second point is not rerun.
+template <typename Fn>
+double SecondsPerCall(Fn fn, double budget) {
+  {
+    Timer t;
+    fn();
+    const double s = t.Seconds();
+    if (s >= budget) return s;
+  }
+  size_t reps = 1;
+  double best = 1e100;
+  double spent = 0.0;
+  while (spent < budget) {
+    Timer t;
+    for (size_t i = 0; i < reps; ++i) fn();
+    const double s = t.Seconds();
+    spent += s;
+    best = std::min(best, s / static_cast<double>(reps));
+    if (s < budget / 8.0) reps *= 2;
+  }
+  return best;
+}
 
 /// Emits a BENCH_*.json artifact the way the repo tracks perf
 /// trajectories. The harness prints the standard envelope — bench name,

@@ -40,26 +40,6 @@ std::vector<double> RandomVec(size_t n, Rng* rng) {
   return v;
 }
 
-// Adaptive best-effort timing: repeats `fn` until `budget` seconds of
-// samples accumulate and returns seconds per call (minimum over batches,
-// to shed scheduler noise).
-template <typename Fn>
-double SecondsPerCall(Fn fn, double budget) {
-  fn();  // warm the caches / page in the buffers
-  size_t reps = 1;
-  double best = 1e100;
-  double spent = 0.0;
-  while (spent < budget) {
-    Timer t;
-    for (size_t i = 0; i < reps; ++i) fn();
-    const double s = t.Seconds();
-    spent += s;
-    best = std::min(best, s / static_cast<double>(reps));
-    if (s < budget / 8.0) reps *= 2;
-  }
-  return best;
-}
-
 struct KernelPoint {
   size_t m, k, n;          // problem shape (Gram: n rows = m, d = k)
   double naive_gflops;
@@ -73,10 +53,10 @@ KernelPoint MeasureGemm(size_t s, double budget, Rng* rng) {
   std::vector<double> b = RandomVec(s * s, rng);
   std::vector<double> c_naive(s * s), c_blocked(s * s);
   const double flops = 2.0 * static_cast<double>(s) * s * s;
-  const double tn = SecondsPerCall(
+  const double tn = bench::SecondsPerCall(
       [&] { kn::GemmNaive(a.data(), b.data(), c_naive.data(), s, s, s); },
       budget);
-  const double tb = SecondsPerCall(
+  const double tb = bench::SecondsPerCall(
       [&] { kn::Gemm(a.data(), b.data(), c_blocked.data(), s, s, s); },
       budget);
   KernelPoint p{s, s, s, flops / tn / 1e9, flops / tb / 1e9, tn / tb, 0.0};
@@ -92,9 +72,9 @@ KernelPoint MeasureGram(size_t n, size_t d, double budget, Rng* rng) {
   std::vector<double> g_naive(d * d), g_blocked(d * d);
   // Upper-triangle MACs mirrored: count the same n*d^2 flops for both.
   const double flops = static_cast<double>(n) * d * d;
-  const double tn = SecondsPerCall(
+  const double tn = bench::SecondsPerCall(
       [&] { kn::GramNaive(a.data(), n, d, g_naive.data()); }, budget);
-  const double tb = SecondsPerCall(
+  const double tb = bench::SecondsPerCall(
       [&] { kn::Gram(a.data(), n, d, g_blocked.data()); }, budget);
   KernelPoint p{n, d, d, flops / tn / 1e9, flops / tb / 1e9, tn / tb, 0.0};
   for (size_t i = 0; i < d * d; ++i) {
@@ -130,7 +110,7 @@ ShrinkPoint MeasureShrink(size_t d, size_t ell, size_t n, Rng* rng) {
   for (size_t i = 0; i < 2 * ell; ++i) {
     for (size_t j = 0; j < d; ++j) buffer(i, j) = rng->NextGaussian();
   }
-  p.cold_shrink_seconds = SecondsPerCall(
+  p.cold_shrink_seconds = bench::SecondsPerCall(
       [&] {
         linalg::RightSingular rs = linalg::RightSingularOf(buffer);
         DMT_CHECK(!rs.squared_sigma.empty());

@@ -8,21 +8,27 @@
 //   both routes of the default shrink backend.
 //
 // Each point reports the route FrequentDirections takes for its (ell, d)
-// ("route": "dense" or "lanczos"; FrequentDirections::UsesDenseShrink).
-// Two comparisons per point:
+// ("route": "dense" or "lanczos"; FrequentDirections::UsesDenseShrink:
+// dense when 6*ell >= d). Two comparisons per point:
 //  * solver: top ell+1 eigenpairs of a 2*ell x d buffer's Gram on that
-//    route — dense Householder + QL on the blocked Gram
-//    (linalg/symmetric_eigen.h) or thick-restart Lanczos
-//    (linalg/lanczos.h; row matvecs when 2*ell < d, so the Gram is never
-//    materialized) — against the full-spectrum route (blocked Gram build
-//    + Jacobi SymmetricEigen), with the eigenvalue agreement reported and
-//    gated.
+//    route — a blocked Gram build plus dense Householder + QL
+//    (linalg/symmetric_eigen.h), or thick-restart Lanczos matvecs on the
+//    rows (linalg/lanczos.h; the Gram is never materialized) — against
+//    the full-spectrum route (blocked Gram build + Jacobi
+//    SymmetricEigen), with the eigenvalue agreement reported and gated.
+//    Like the FD shrink, both top-k routes reuse their solver and Gram
+//    workspaces across calls.
 //  * fd_stream: FrequentDirections streaming throughput with the default
 //    shrink backend vs the Jacobi reference backend, with the final
 //    covariance error of both sketches against the exact Gram — the two
 //    must agree within 1e-8 (hard DMT_CHECK, every scale).
-// Sub-0.1 s measurements are repeated until they take 0.1 s and report
-// the time per repetition; longer ones run once.
+// The `lanczos_*` keys time the default backend
+// (FdShrinkBackend::kLanczos) on whichever route it takes, so they stay
+// comparable with recordings made before the dense route existed;
+// `lanczos_matvecs` is 0 on the dense route and `ql_iterations` 0 on the
+// Lanczos one. Times are bench::SecondsPerCall with a 0.1 s budget: a
+// warm-up call, then the best batch; a call that alone exceeds 0.1 s is
+// timed once.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -40,7 +46,6 @@
 #include "util/check.h"
 #include "util/env.h"
 #include "util/rng.h"
-#include "util/timer.h"
 
 namespace {
 
@@ -55,18 +60,7 @@ linalg::Matrix GaussianRows(size_t n, size_t d, Rng* rng) {
   return a;
 }
 
-// Seconds per call of `fn`: one call, repeated until the calls together
-// take 0.1 s, so that sub-millisecond points are not one noisy reading.
-template <typename F>
-double SecondsPerCall(const F& fn) {
-  size_t calls = 0;
-  Timer t;
-  do {
-    fn();
-    ++calls;
-  } while (t.Seconds() < 0.1);
-  return t.Seconds() / static_cast<double>(calls);
-}
+constexpr double kBudget = 0.1;  // seconds per SecondsPerCall
 
 const char* RouteName(size_t ell, size_t d) {
   return sketch::FrequentDirections::UsesDenseShrink(ell, d) ? "dense"
@@ -77,11 +71,11 @@ struct SolverPoint {
   size_t ell, d, rows, k;
   const char* route;
   double jacobi_seconds;
-  double topk_seconds;
+  double lanczos_seconds;  // default backend, either route
   double speedup;
   size_t lanczos_matvecs;  // 0 on the dense route
   size_t ql_iterations;    // 0 on the Lanczos route
-  double rel_eig_diff;  // max |lambda_topk - lambda_J| / lambda_1
+  double rel_eig_diff;  // max |lambda_L - lambda_J| / lambda_1
 };
 
 SolverPoint MeasureSolver(size_t ell, size_t d, Rng* rng) {
@@ -94,42 +88,47 @@ SolverPoint MeasureSolver(size_t ell, size_t d, Rng* rng) {
   // Full-spectrum reference: blocked Gram build + Jacobi, timed together
   // (that is what a full-decomposition shrink pays).
   linalg::EigenDecomposition full;
-  p.jacobi_seconds = SecondsPerCall([&] {
-    linalg::Matrix gram(d, d);
-    linalg::kernels::Gram(buffer.Row(0), n, d, gram.Row(0));
-    full = linalg::SymmetricEigen(gram);
-  });
+  p.jacobi_seconds = bench::SecondsPerCall(
+      [&] {
+        linalg::Matrix gram(d, d);
+        linalg::kernels::Gram(buffer.Row(0), n, d, gram.Row(0));
+        full = linalg::SymmetricEigen(gram);
+      },
+      kBudget);
 
-  // The route the FD shrink takes, with what it pays: the dense route
-  // builds the Gram and solves it, the Lanczos route matvecs on the rows
-  // (2*ell < d) or on the Gram.
+  // The route the FD shrink takes, with what it pays per shrink: the
+  // dense route builds the Gram into a reused workspace and solves it,
+  // the Lanczos route matvecs on the rows (d > 6*ell > 2*ell rows).
   std::vector<double> vals;
   linalg::Matrix vecs;
   bool converged = false;
   if (sketch::FrequentDirections::UsesDenseShrink(ell, d)) {
-    p.topk_seconds = SecondsPerCall([&] {
-      linalg::Matrix gram(d, d);
-      linalg::kernels::Gram(buffer.Row(0), n, d, gram.Row(0));
-      linalg::SymmetricEigenSolver solver;
-      const linalg::SymmetricEigenInfo info =
-          solver.TopKOfGram(gram, k, &vals, &vecs);
-      converged = info.converged;
-      p.ql_iterations = info.ql_iterations;
-    });
+    linalg::Matrix gram(d, d);
+    linalg::SymmetricEigenSolver solver;
+    p.lanczos_seconds = bench::SecondsPerCall(
+        [&] {
+          linalg::kernels::Gram(buffer.Row(0), n, d, gram.Row(0));
+          const linalg::SymmetricEigenInfo info =
+              solver.TopKOfGram(gram, k, &vals, &vecs);
+          converged = info.converged;
+          p.ql_iterations = info.ql_iterations;
+        },
+        kBudget);
   } else {
-    p.topk_seconds = SecondsPerCall([&] {
-      linalg::LanczosOptions opts;
-      opts.tol = 1e-11;
-      const linalg::LanczosInfo info =
-          n < d ? linalg::LanczosTopKOfRows(buffer, k, &vals, &vecs, opts)
-                : linalg::LanczosTopKOfGram(buffer.Gram(), k, &vals, &vecs,
-                                            opts);
-      converged = info.converged;
-      p.lanczos_matvecs = info.matvecs;
-    });
+    DMT_CHECK_LT(n, d);
+    linalg::LanczosSolver solver;
+    const linalg::LanczosOptions opts;  // FD's shrink tolerance
+    p.lanczos_seconds = bench::SecondsPerCall(
+        [&] {
+          const linalg::LanczosInfo info =
+              solver.TopKOfRows(buffer, k, &vals, &vecs, opts);
+          converged = info.converged;
+          p.lanczos_matvecs = info.matvecs;
+        },
+        kBudget);
   }
   DMT_CHECK(converged);
-  p.speedup = p.jacobi_seconds / p.topk_seconds;
+  p.speedup = p.jacobi_seconds / p.lanczos_seconds;
 
   const double scale = std::max(full.eigenvalues.front(), 1e-300);
   for (size_t i = 0; i < k; ++i) {
@@ -144,11 +143,11 @@ struct StreamPoint {
   size_t ell, d, rows;
   const char* route;
   double jacobi_rows_per_sec;
-  double topk_rows_per_sec;
+  double lanczos_rows_per_sec;
   double speedup;
-  size_t jacobi_shrinks, topk_shrinks;
+  size_t jacobi_shrinks, lanczos_shrinks;
   double cov_err_jacobi;
-  double cov_err_topk;
+  double cov_err_lanczos;
   double abs_err_diff;
 };
 
@@ -161,25 +160,27 @@ StreamPoint MeasureStream(size_t ell, size_t d, Rng* rng) {
   const auto run = [&](sketch::FdShrinkBackend backend, double* seconds,
                        size_t* shrinks) {
     sketch::FrequentDirections fd(ell, d);
-    *seconds = SecondsPerCall([&] {
-      fd = sketch::FrequentDirections(ell, d);
-      fd.set_shrink_backend(backend);
-      for (size_t i = 0; i < n; ++i) fd.Append(a.Row(i), d);
-    });
+    *seconds = bench::SecondsPerCall(
+        [&] {
+          fd = sketch::FrequentDirections(ell, d);
+          fd.set_shrink_backend(backend);
+          for (size_t i = 0; i < n; ++i) fd.Append(a.Row(i), d);
+        },
+        kBudget);
     *shrinks = fd.shrink_count();
     return matrix::CovarianceError(truth, fd.Gram());
   };
 
   StreamPoint p{ell, d, n, RouteName(ell, d), 0, 0, 0, 0, 0, 0, 0, 0};
-  double sj = 0.0, st = 0.0;
+  double sj = 0.0, sl = 0.0;
   p.cov_err_jacobi = run(sketch::FdShrinkBackend::kJacobi, &sj,
                          &p.jacobi_shrinks);
-  p.cov_err_topk = run(sketch::FdShrinkBackend::kLanczos, &st,
-                       &p.topk_shrinks);
+  p.cov_err_lanczos = run(sketch::FdShrinkBackend::kLanczos, &sl,
+                          &p.lanczos_shrinks);
   p.jacobi_rows_per_sec = n / sj;
-  p.topk_rows_per_sec = n / st;
-  p.speedup = sj / st;
-  p.abs_err_diff = std::fabs(p.cov_err_jacobi - p.cov_err_topk);
+  p.lanczos_rows_per_sec = n / sl;
+  p.speedup = sj / sl;
+  p.abs_err_diff = std::fabs(p.cov_err_jacobi - p.cov_err_lanczos);
   return p;
 }
 
@@ -226,11 +227,11 @@ int main(int argc, char** argv) {
       std::fprintf(f,
                    "    {\"ell\": %zu, \"d\": %zu, \"rows\": %zu, "
                    "\"k\": %zu, \"route\": \"%s\", "
-                   "\"jacobi_seconds\": %.6f, \"topk_seconds\": %.6f, "
+                   "\"jacobi_seconds\": %.6f, \"lanczos_seconds\": %.6f, "
                    "\"speedup\": %.3f, \"lanczos_matvecs\": %zu, "
                    "\"ql_iterations\": %zu, \"rel_eig_diff\": %.3e}%s\n",
                    p.ell, p.d, p.rows, p.k, p.route, p.jacobi_seconds,
-                   p.topk_seconds, p.speedup, p.lanczos_matvecs,
+                   p.lanczos_seconds, p.speedup, p.lanczos_matvecs,
                    p.ql_iterations, p.rel_eig_diff,
                    i + 1 < solver.size() ? "," : "");
     }
@@ -242,13 +243,14 @@ int main(int argc, char** argv) {
           f,
           "    {\"ell\": %zu, \"d\": %zu, \"rows\": %zu, "
           "\"route\": \"%s\", \"jacobi_rows_per_sec\": %.0f, "
-          "\"topk_rows_per_sec\": %.0f, \"speedup\": %.3f, "
-          "\"jacobi_shrinks\": %zu, \"topk_shrinks\": %zu, "
-          "\"cov_err_jacobi\": %.10f, \"cov_err_topk\": %.10f, "
+          "\"lanczos_rows_per_sec\": %.0f, \"speedup\": %.3f, "
+          "\"jacobi_shrinks\": %zu, \"lanczos_shrinks\": %zu, "
+          "\"cov_err_jacobi\": %.10f, \"cov_err_lanczos\": %.10f, "
           "\"abs_err_diff\": %.3e}%s\n",
           p.ell, p.d, p.rows, p.route, p.jacobi_rows_per_sec,
-          p.topk_rows_per_sec, p.speedup, p.jacobi_shrinks, p.topk_shrinks,
-          p.cov_err_jacobi, p.cov_err_topk, p.abs_err_diff,
+          p.lanczos_rows_per_sec, p.speedup, p.jacobi_shrinks,
+          p.lanczos_shrinks, p.cov_err_jacobi, p.cov_err_lanczos,
+          p.abs_err_diff,
           i + 1 < streams.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n");
@@ -259,7 +261,7 @@ int main(int argc, char** argv) {
   // error unchanged within 1e-8.
   for (const auto& p : solver) DMT_CHECK_LT(p.rel_eig_diff, 1e-9);
   for (const auto& p : streams) {
-    DMT_CHECK_EQ(p.jacobi_shrinks, p.topk_shrinks);
+    DMT_CHECK_EQ(p.jacobi_shrinks, p.lanczos_shrinks);
     DMT_CHECK_LT(p.abs_err_diff, 1e-8);
   }
   return 0;

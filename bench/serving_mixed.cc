@@ -79,13 +79,19 @@ void QueryOp(serve::SnapshotReader* reader) {
   }
 }
 
-void ReaderLoop(serve::SnapshotStore* store, std::atomic<bool>* done,
+// Serves one query op, reports in on `started`, waits for `go`, then
+// loops until `done`. The caller sets `go` and starts the ingest only
+// once every reader has reported, so each reader has served a query
+// however short the ingest is, and only that one op falls outside the
+// timed window.
+void ReaderLoop(serve::SnapshotStore* store, std::atomic<size_t>* started,
+                const std::atomic<bool>* go, const std::atomic<bool>* done,
                 ReaderStats* stats) {
   constexpr size_t kMaxSamples = 1u << 20;
   serve::SnapshotReader reader(store);
   stats->sample_us.reserve(kMaxSamples);
   uint64_t iter = 0;
-  while (!done->load(std::memory_order_acquire)) {
+  do {
     if ((iter++ & 7) == 0 && stats->sample_us.size() < kMaxSamples) {
       Timer t;
       QueryOp(&reader);
@@ -93,8 +99,11 @@ void ReaderLoop(serve::SnapshotStore* store, std::atomic<bool>* done,
     } else {
       QueryOp(&reader);
     }
-    ++stats->query_ops;
-  }
+    if (++stats->query_ops == 1) {
+      started->fetch_add(1, std::memory_order_release);
+      while (!go->load(std::memory_order_acquire)) std::this_thread::yield();
+    }
+  } while (!done->load(std::memory_order_acquire));
 }
 
 double Percentile(const std::vector<double>& sorted, double frac) {
@@ -164,13 +173,19 @@ WorkloadResult RunWorkload(MakeProtocol make, AttachFn attach,
     serve::ServingCoordinator serving(&store);
     attach(&serving, &driver, &protocol);
 
+    std::atomic<size_t> started{0};
+    std::atomic<bool> go{false};
     std::atomic<bool> done{false};
     std::vector<ReaderStats> stats(readers);
     std::vector<std::thread> pool;
     pool.reserve(readers);
     for (size_t r = 0; r < readers; ++r) {
-      pool.emplace_back(ReaderLoop, &store, &done, &stats[r]);
+      pool.emplace_back(ReaderLoop, &store, &started, &go, &done, &stats[r]);
     }
+    while (started.load(std::memory_order_acquire) < readers) {
+      std::this_thread::yield();
+    }
+    go.store(true, std::memory_order_release);
     Timer t;
     driver.Run(&protocol, sites, items);
     res.ingest_mixed_s = t.Seconds();

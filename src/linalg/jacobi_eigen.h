@@ -8,7 +8,7 @@
 // exact reference and the warm-started FD reference backend. It is not
 // fast from a cold start: at 44 x 44 one cold decomposition costs ~7x the
 // Householder + QL solve of linalg/symmetric_eigen.h, which is what the
-// default FD shrink uses once ell+1 pairs are about half the spectrum.
+// default FD shrink uses once ell+1 pairs are a sixth of the spectrum.
 #ifndef DMT_LINALG_JACOBI_EIGEN_H_
 #define DMT_LINALG_JACOBI_EIGEN_H_
 

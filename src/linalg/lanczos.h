@@ -9,9 +9,10 @@
 // d x d spectrum with Jacobi for those is the dominant cost at large d;
 // this solver computes the top-k pairs at O(k) matrix-vector products
 // plus small dense work instead. That only pays while k is a small part
-// of d: once the basis DefaultBasisSize(d, k) spans R^d the solve is a
-// full diagonalization with extra steps, and the FD shrink switches to
-// the dense solver of linalg/symmetric_eigen.h (see
+// of d: its cost grows with k (once the basis DefaultBasisSize(d, k)
+// spans R^d the solve is a full diagonalization with extra steps), and
+// the FD shrink switches to the dense solver of linalg/symmetric_eigen.h
+// from k ~ d/6 on, where the two measured even (see
 // FrequentDirections::UsesDenseShrink).
 //
 // Algorithm: build an orthonormal Krylov basis (full reorthogonalization

@@ -2,14 +2,15 @@
 // the implicit-shift QL iteration (the EISPACK tred2/tql2 pair; Wilkinson
 // & Reinsch, Handbook for Automatic Computation II, 1971).
 //
-// This is the solver for small eigenproblems where the "partial" route
-// would not be partial: a Frequent Directions shrink asks for the top
-// ell+1 pairs, and once the Lanczos basis min(2(ell+1)+8, d) already
-// spans R^d, Lanczos builds a basis of the whole space and diagonalizes
-// the full projected matrix anyway. Reducing the matrix to tridiagonal
-// form once and chasing implicit QL shifts is O(d^3) with small
-// constants and no reorthogonalization; at d = 44 it is 6-7x faster
-// than either Lanczos or a cold cyclic Jacobi (BENCH_partial_eigen.json).
+// This is the solver for top-k problems where k is not a small part of
+// d: a Frequent Directions shrink asks for the top ell+1 pairs, and the
+// Lanczos cost grows with them (once its basis min(2(ell+1)+8, d) spans
+// R^d it builds a basis of the whole space and diagonalizes the full
+// projected matrix anyway). Reducing the matrix to tridiagonal form once
+// and chasing implicit QL shifts is O(d^3) with small constants and no
+// reorthogonalization, whatever k is; at d = 44 it is 6-7x faster than
+// either Lanczos or a cold cyclic Jacobi, and FD uses it from
+// ell ~ d/6 on (BENCH_partial_eigen.json).
 //
 // Both phases sweep contiguous rows: the accumulated transform is kept
 // transposed, so every Givens rotation of the QL phase updates two

@@ -154,7 +154,7 @@ void FrequentDirections::EnsureShrinkWorkspace() {
   }
 }
 
-DMT_ALLOC_OK("lazy d x d Gram workspace; dense-route and tall Lanczos shrinks pay for it, once")
+DMT_ALLOC_OK("lazy d x d Gram workspace; dense-route shrinks pay for it, once")
 void FrequentDirections::EnsureShrinkGram() {
   if (shrink_gram_.rows() != dim_) {
     shrink_gram_ = linalg::Matrix(dim_, dim_);
@@ -185,36 +185,29 @@ bool FrequentDirections::ShrinkTopK() {
   const size_t n = buffer_.rows();
   const size_t k = std::min(ell_ + 1, d);
 
-  linalg::LanczosOptions opts;
-  opts.tol = 1e-11;
-  if (warm_seed_valid_) opts.seed = warm_seed_.data();
-
-  const bool dense = UsesDenseShrink(ell_, d);
   bool converged;
-  if (!dense && n < d) {
-    // Lanczos on a buffer currently wider than tall: iterate on the rows
-    // directly — each matvec is two GEMV-shaped passes, y = B^T (B x) —
-    // so the d x d Gram is never materialized. This covers every shrink
-    // when 4*ell < d.
+  if (UsesDenseShrink(ell_, d)) {
+    // One blocked Gram build, then a dense tridiagonal QL solve of it.
+    EnsureShrinkGram();
+    linalg::kernels::Gram(buffer_.Row(0), n, d, shrink_gram_.Row(0));
+    converged = dense_solver_
+                    .TopKOfGram(shrink_gram_, k, &eigenvalues_,
+                                &eigenvectors_)
+                    .converged;
+  } else {
+    // Lanczos on the rows directly (d > 6*ell >= n, so the buffer is
+    // always wider than tall): each matvec is two GEMV-shaped passes,
+    // y = B^T (B x), and the d x d Gram is never materialized.
+    DMT_CHECK_LT(n, d);
+    // The solver's default tolerance: row matvecs stall a little above
+    // 1e-11 relative, where a shrink would spend all its restarts and
+    // then fall back to Jacobi.
+    linalg::LanczosOptions opts;
+    if (warm_seed_valid_) opts.seed = warm_seed_.data();
     converged = eigensolver_
                     .TopKOfRows(buffer_, k, &eigenvalues_, &eigenvectors_,
                                 opts)
                     .converged;
-  } else {
-    // One blocked Gram build, then a dense tridiagonal QL solve of it
-    // (ell+1 pairs are about half the spectrum or more, so a Lanczos
-    // basis would span R^d anyway) or, for a tall buffer, Lanczos
-    // matvecs on it.
-    EnsureShrinkGram();
-    linalg::kernels::Gram(buffer_.Row(0), n, d, shrink_gram_.Row(0));
-    converged = dense ? dense_solver_
-                            .TopKOfGram(shrink_gram_, k, &eigenvalues_,
-                                        &eigenvectors_)
-                            .converged
-                      : eigensolver_
-                            .TopKOfGram(shrink_gram_, k, &eigenvalues_,
-                                        &eigenvectors_, opts)
-                            .converged;
   }
   if (!converged) return false;
 

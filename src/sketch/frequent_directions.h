@@ -14,20 +14,20 @@
 //    depends only on delta = lambda_{ell+1} and the leading subspace).
 //    The default backend solves for exactly those, on one of two routes
 //    fixed by (ell, d) alone (UsesDenseShrink):
-//     - Dense, when the Lanczos basis min(2(ell+1)+8, d) would span R^d
-//       anyway (2*ell + 10 >= d, e.g. ell = 20, d = 44): one blocked Gram
-//       build, then Householder tridiagonalization + implicit QL
-//       (linalg/symmetric_eigen.h). Lanczos would diagonalize the full
-//       projected matrix there too, after building a reorthogonalized
-//       basis of the whole space; the dense solve is ~6x cheaper.
+//     - Dense, when ell+1 pairs are a sixth of the spectrum or more
+//       (6*ell >= d, e.g. ell = 20, d = 44) or the Lanczos basis
+//       min(2(ell+1)+8, d) would span R^d anyway: one blocked Gram build,
+//       then Householder tridiagonalization + implicit QL
+//       (linalg/symmetric_eigen.h). Its cost does not grow with ell
+//       while Lanczos' does; FD streams on both routes broke even near
+//       d = 6*ell (ell ~ 42 at d = 256, ell ~ 150 at d = 1024). At the
+//       MP1 shape the dense shrink is ~6x cheaper.
 //     - Thick-restart Lanczos (linalg/lanczos.h) otherwise, i.e. where
-//       ell+1 pairs are a small part of the spectrum. Whenever the buffer
-//       is currently wider than tall (fewer rows than columns — always
-//       the case when 4*ell < d) it iterates directly on the rows — two
-//       GEMV-shaped passes per matvec, never materializing the d x d
-//       Gram — and otherwise on a persistent Gram workspace. The Krylov
-//       seed is warm-started from the previous shrink's leading
-//       eigenvector.
+//       ell+1 pairs are a small part of the spectrum. The buffer (at
+//       most 4*ell rows) is then always wider than tall, so it iterates
+//       directly on the rows — two GEMV-shaped passes per matvec, never
+//       materializing the d x d Gram. The Krylov seed is warm-started
+//       from the previous shrink's leading eigenvector.
 //    If either solve ever fails (Lanczos residual test or QL iteration
 //    cap; not observed in practice; see lanczos_fallback_count) the
 //    shrink transparently reruns on the Jacobi reference path.
@@ -66,8 +66,8 @@ namespace sketch {
 /// Which eigensolver a FrequentDirections shrink uses.
 enum class FdShrinkBackend {
   /// Top ell+1 pairs only (the default fast path): dense tridiagonal QL
-  /// when Lanczos would span R^d anyway, thick-restart Lanczos otherwise
-  /// (see UsesDenseShrink).
+  /// when ell+1 pairs are a sizeable part of the spectrum, thick-restart
+  /// Lanczos on the rows otherwise (see UsesDenseShrink).
   kLanczos,
   /// Full-spectrum warm-started cyclic Jacobi (the reference path).
   kJacobi,
@@ -152,11 +152,13 @@ class FrequentDirections {
   size_t lanczos_fallback_count() const { return lanczos_fallbacks_; }
 
   /// Route of the default backend for an (ell, dim) sketch: true when the
-  /// top ell+1 pairs are solved densely (the Lanczos basis for them,
-  /// LanczosSolver::DefaultBasisSize, would span all of R^dim), false
-  /// when Lanczos runs.
+  /// top ell+1 pairs are solved densely — ell+1 pairs are a sixth of the
+  /// spectrum or more (the measured crossover with Lanczos), or the
+  /// Lanczos basis for them, LanczosSolver::DefaultBasisSize, would span
+  /// all of R^dim — false when Lanczos runs on the rows.
   static bool UsesDenseShrink(size_t ell, size_t dim) {
-    return linalg::LanczosSolver::DefaultBasisSize(dim, ell + 1) == dim;
+    return 6 * ell >= dim ||
+           linalg::LanczosSolver::DefaultBasisSize(dim, ell + 1) == dim;
   }
 
  private:
@@ -172,9 +174,9 @@ class FrequentDirections {
   /// AppendRows(buffer_): appends a copy of the current rows.
   void AppendOwnRows();
 
-  /// Lazily sizes the persistent d x d Gram workspace. Dense-route shrinks
-  /// and tall (n >= d) Lanczos shrinks need it; wide Lanczos shrinks
-  /// never do, so it is not part of EnsureShrinkWorkspace.
+  /// Lazily sizes the persistent d x d Gram workspace. Only dense-route
+  /// shrinks need it (Lanczos iterates on the rows), so it is not part of
+  /// EnsureShrinkWorkspace.
   void EnsureShrinkGram();
 
   /// One-time (per sketch) allocation of the Jacobi-path workspaces,
@@ -208,7 +210,7 @@ class FrequentDirections {
   linalg::Matrix eigenvectors_;       // (ell+1) x d eigenvector rows
   std::vector<double> warm_seed_;     // previous shrink's leading vector
   bool warm_seed_valid_ = false;      // warm_seed_ holds a real eigenvector
-  linalg::Matrix shrink_gram_;        // d x d; dense route, tall Lanczos
+  linalg::Matrix shrink_gram_;        // d x d; dense route only
 
   // --- Jacobi backend state (see EnsureJacobiWorkspace) ---
   bool jacobi_ready_ = false;

@@ -223,44 +223,53 @@ TEST(FdShrinkTest, AppendRowsBulkPathShrinksFarLessOften) {
 // The default backend must match the Jacobi reference backend
 // shrink-for-shrink — same shrink schedule, matching shrinkage accounting
 // and spectra, and a coordinator-level covariance error that agrees within
-// 1e-8. At ell = 8, d = 20 it takes the dense route (2*ell + 10 >= d).
+// 1e-8 — on both of its routes: ell = 8, d = 20 is dense (6*ell >= d),
+// ell = 4, d = 28 runs Lanczos.
 TEST(FdShrinkTest, LanczosBackendMatchesJacobiBackend) {
-  const size_t ell = 8, d = 20, n = 800;
-  FrequentDirections lanczos(ell, d);
-  lanczos.set_shrink_backend(FdShrinkBackend::kLanczos);
-  FrequentDirections jacobi(ell, d);
-  jacobi.set_shrink_backend(FdShrinkBackend::kJacobi);
-
-  Matrix a;
-  for (const auto& r : GaussianRows(n, d, 21)) {
-    a.AppendRow(r);
-    lanczos.Append(r);
-    jacobi.Append(r);
-  }
-  ASSERT_GE(lanczos.shrink_count(), 40u);
-  EXPECT_EQ(lanczos.shrink_count(), jacobi.shrink_count());
-  EXPECT_EQ(lanczos.lanczos_fallback_count(), 0u);
-  EXPECT_DOUBLE_EQ(lanczos.stream_squared_frobenius(),
-                   jacobi.stream_squared_frobenius());
-
-  const double scale = lanczos.stream_squared_frobenius();
-  EXPECT_NEAR(lanczos.total_shrinkage(), jacobi.total_shrinkage(),
-              1e-8 * scale);
-  std::vector<double> sl = Spectrum(lanczos.sketch(), d);
-  std::vector<double> sj = Spectrum(jacobi.sketch(), d);
-  for (size_t i = 0; i < d; ++i) {
-    EXPECT_NEAR(sl[i] * sl[i], sj[i] * sj[i], 1e-8 * scale) << "i=" << i;
-  }
-
-  // Coordinator-level agreement: covariance error of the two sketches
-  // against the exact Gram differs by at most 1e-8.
-  Matrix truth = a.Gram();
-  const auto cov_err = [&](const FrequentDirections& fd) {
-    Matrix diff = truth;
-    diff.Subtract(fd.Gram());
-    return linalg::SpectralNormSymmetric(diff) / a.SquaredFrobeniusNorm();
+  struct Shape {
+    size_t ell, d;
+    bool dense;
   };
-  EXPECT_NEAR(cov_err(lanczos), cov_err(jacobi), 1e-8);
+  for (const Shape& s : {Shape{8, 20, true}, Shape{4, 28, false}}) {
+    SCOPED_TRACE(::testing::Message() << "ell=" << s.ell << " d=" << s.d);
+    const size_t ell = s.ell, d = s.d, n = 800;
+    ASSERT_EQ(FrequentDirections::UsesDenseShrink(ell, d), s.dense);
+    FrequentDirections lanczos(ell, d);
+    lanczos.set_shrink_backend(FdShrinkBackend::kLanczos);
+    FrequentDirections jacobi(ell, d);
+    jacobi.set_shrink_backend(FdShrinkBackend::kJacobi);
+
+    Matrix a;
+    for (const auto& r : GaussianRows(n, d, 21)) {
+      a.AppendRow(r);
+      lanczos.Append(r);
+      jacobi.Append(r);
+    }
+    ASSERT_GE(lanczos.shrink_count(), 40u);
+    EXPECT_EQ(lanczos.shrink_count(), jacobi.shrink_count());
+    EXPECT_EQ(lanczos.lanczos_fallback_count(), 0u);
+    EXPECT_DOUBLE_EQ(lanczos.stream_squared_frobenius(),
+                     jacobi.stream_squared_frobenius());
+
+    const double scale = lanczos.stream_squared_frobenius();
+    EXPECT_NEAR(lanczos.total_shrinkage(), jacobi.total_shrinkage(),
+                1e-8 * scale);
+    std::vector<double> sl = Spectrum(lanczos.sketch(), d);
+    std::vector<double> sj = Spectrum(jacobi.sketch(), d);
+    for (size_t i = 0; i < d; ++i) {
+      EXPECT_NEAR(sl[i] * sl[i], sj[i] * sj[i], 1e-8 * scale) << "i=" << i;
+    }
+
+    // Coordinator-level agreement: covariance error of the two sketches
+    // against the exact Gram differs by at most 1e-8.
+    Matrix truth = a.Gram();
+    const auto cov_err = [&](const FrequentDirections& fd) {
+      Matrix diff = truth;
+      diff.Subtract(fd.Gram());
+      return linalg::SpectralNormSymmetric(diff) / a.SquaredFrobeniusNorm();
+    };
+    EXPECT_NEAR(cov_err(lanczos), cov_err(jacobi), 1e-8);
+  }
 }
 
 // Wide-buffer regime (4*ell < d): the Lanczos path iterates on the rows
@@ -290,11 +299,13 @@ TEST(FdShrinkTest, LanczosBackendMatchesJacobiInWideRegime) {
   }
 }
 
-// One shape per route of the default backend, each against the Jacobi
+// Shapes on both routes of the default backend, each against the Jacobi
 // reference backend on the same stream: the MP1 shape (ell = 20, d = 44)
-// solved densely, ell >= d (dense, delta = 0), the streaming Lanczos
-// route on rows (ell = 16, d = 256), and the tall-buffer Lanczos route
-// on a Gram, which only bulk AppendRows reaches (2*ell + 10 < d <= 4*ell).
+// solved densely, ell >= d (dense, delta = 0), a bulk AppendRows stream
+// whose buffer grows taller than wide (d <= 4*ell, dense), the two sides
+// of the 6*ell = d boundary through bulk AppendRows (ell = 8, d = 48
+// dense; d = 49 Lanczos), and the streaming Lanczos route on rows
+// (ell = 16, d = 256).
 struct RouteCase {
   size_t ell, d, n;
   bool bulk;   // feed through AppendRows instead of Append
@@ -351,67 +362,88 @@ INSTANTIATE_TEST_SUITE_P(
     Routes, ShrinkRouteTest,
     ::testing::Values(RouteCase{20, 44, 400, false, true},
                       RouteCase{12, 10, 200, false, true},
-                      RouteCase{16, 256, 80, false, false},
-                      RouteCase{16, 50, 400, true, false}));
+                      RouteCase{16, 50, 400, true, true},
+                      RouteCase{8, 48, 400, true, true},
+                      RouteCase{8, 49, 400, true, false},
+                      RouteCase{16, 256, 80, false, false}));
 
 // Satellite regression: a degenerate spectrum with lambda_ell ==
 // lambda_{ell+1} exactly (orthogonal rows of equal norm) makes the shrink
 // subtraction lambda_i - delta hit zero for every direction; roundoff on
-// either side must clamp instead of producing sqrt(negative) = NaN.
+// either side must clamp instead of producing sqrt(negative) = NaN. Run
+// on both routes of the default backend (ell = 4: d = 8 is dense, d = 32
+// runs Lanczos) and on the Jacobi backend.
 TEST(FdShrinkTest, DegenerateTiedSpectrumProducesNoNaN) {
-  const size_t ell = 4, d = 8;
-  for (FdShrinkBackend backend :
-       {FdShrinkBackend::kLanczos, FdShrinkBackend::kJacobi}) {
-    FrequentDirections fd(ell, d);
-    fd.set_shrink_backend(backend);
-    // 3 copies of each canonical direction, all with squared norm 4:
-    // every eigenvalue of the buffer Gram ties at 12.
-    for (int copy = 0; copy < 3; ++copy) {
-      for (size_t i = 0; i < d; ++i) {
-        std::vector<double> row(d, 0.0);
-        row[i] = 2.0;
-        fd.Append(row);
+  const size_t ell = 4;
+  for (size_t d : {size_t{8}, size_t{32}}) {
+    ASSERT_EQ(FrequentDirections::UsesDenseShrink(ell, d), d == 8);
+    for (FdShrinkBackend backend :
+         {FdShrinkBackend::kLanczos, FdShrinkBackend::kJacobi}) {
+      FrequentDirections fd(ell, d);
+      fd.set_shrink_backend(backend);
+      // 3 copies of each canonical direction, all with squared norm 4:
+      // every eigenvalue of the buffer Gram ties.
+      for (int copy = 0; copy < 3; ++copy) {
+        for (size_t i = 0; i < d; ++i) {
+          std::vector<double> row(d, 0.0);
+          row[i] = 2.0;
+          fd.Append(row);
+        }
       }
-    }
-    fd.Compress();
-    EXPECT_GE(fd.shrink_count(), 1u);
-    for (size_t i = 0; i < fd.rows(); ++i) {
-      for (size_t j = 0; j < d; ++j) {
-        EXPECT_TRUE(std::isfinite(fd.sketch()(i, j)))
-            << "backend=" << static_cast<int>(backend) << " (" << i << ","
-            << j << ")";
+      fd.Compress();
+      EXPECT_GE(fd.shrink_count(), 1u);
+      for (size_t i = 0; i < fd.rows(); ++i) {
+        for (size_t j = 0; j < d; ++j) {
+          EXPECT_TRUE(std::isfinite(fd.sketch()(i, j)))
+              << "d=" << d << " backend=" << static_cast<int>(backend)
+              << " (" << i << "," << j << ")";
+        }
       }
+      // Accounting stays within the FD bound despite the tie at the
+      // cutoff.
+      EXPECT_LE(fd.total_shrinkage(),
+                fd.stream_squared_frobenius() /
+                        static_cast<double>(ell + 1) +
+                    1e-9)
+          << "d=" << d;
     }
-    // Accounting stays within the FD bound despite the tie at the cutoff.
-    EXPECT_LE(fd.total_shrinkage(),
-              fd.stream_squared_frobenius() / static_cast<double>(ell + 1) +
-                  1e-9);
   }
 }
 
 // Switching backends mid-stream must be safe in both directions: the
-// Jacobi warm-start invariant is invalidated by a Lanczos shrink and
-// rebuilt cold on the next Jacobi one.
+// Jacobi warm-start invariant is invalidated by a default-backend shrink
+// and rebuilt cold on the next Jacobi one. Covers both default routes:
+// ell = 6, d = 10 is dense, ell = 4, d = 30 runs Lanczos (whose warm
+// seed the Jacobi shrinks keep fresh).
 TEST(FdShrinkTest, BackendSwitchMidStreamKeepsTheBound) {
-  const size_t ell = 6, d = 10, n = 600;
-  FrequentDirections fd(ell, d);
-  Matrix a;
-  auto rows = GaussianRows(n, d, 77);
-  for (size_t i = 0; i < n; ++i) {
-    fd.set_shrink_backend((i / 100) % 2 == 0 ? FdShrinkBackend::kLanczos
-                                             : FdShrinkBackend::kJacobi);
-    a.AppendRow(rows[i]);
-    fd.Append(rows[i]);
+  struct Shape {
+    size_t ell, d;
+    bool dense;
+  };
+  for (const Shape& s : {Shape{6, 10, true}, Shape{4, 30, false}}) {
+    SCOPED_TRACE(::testing::Message() << "ell=" << s.ell << " d=" << s.d);
+    const size_t ell = s.ell, d = s.d, n = 600;
+    ASSERT_EQ(FrequentDirections::UsesDenseShrink(ell, d), s.dense);
+    FrequentDirections fd(ell, d);
+    Matrix a;
+    auto rows = GaussianRows(n, d, 77);
+    for (size_t i = 0; i < n; ++i) {
+      fd.set_shrink_backend((i / 100) % 2 == 0 ? FdShrinkBackend::kLanczos
+                                               : FdShrinkBackend::kJacobi);
+      a.AppendRow(rows[i]);
+      fd.Append(rows[i]);
+    }
+    ASSERT_GE(fd.shrink_count(), 40u);
+    EXPECT_EQ(fd.lanczos_fallback_count(), 0u);
+    const double bound =
+        a.SquaredFrobeniusNorm() / static_cast<double>(ell + 1);
+    EXPECT_LE(fd.total_shrinkage(), bound + 1e-9);
+    Matrix diff = a.Gram();
+    diff.Subtract(fd.Gram());
+    linalg::EigenDecomposition e = linalg::SymmetricEigen(diff);
+    EXPECT_LE(e.eigenvalues.front(), fd.total_shrinkage() + 1e-8);
+    EXPECT_GE(e.eigenvalues.back(), -1e-8 * a.SquaredFrobeniusNorm());
   }
-  ASSERT_GE(fd.shrink_count(), 40u);
-  const double bound =
-      a.SquaredFrobeniusNorm() / static_cast<double>(ell + 1);
-  EXPECT_LE(fd.total_shrinkage(), bound + 1e-9);
-  Matrix diff = a.Gram();
-  diff.Subtract(fd.Gram());
-  linalg::EigenDecomposition e = linalg::SymmetricEigen(diff);
-  EXPECT_LE(e.eigenvalues.front(), fd.total_shrinkage() + 1e-8);
-  EXPECT_GE(e.eigenvalues.back(), -1e-8 * a.SquaredFrobeniusNorm());
 }
 
 TEST(FdShrinkTest, AppendRowsSelfAliasIsSafe) {
