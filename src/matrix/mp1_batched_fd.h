@@ -14,10 +14,13 @@
 // the site sketch in place, keeping its workspaces. The drain applies
 // each flush's scalar half (F_C += F_i, the F-hat broadcast test) in
 // ascending-site emission order, but folds the rows of every drained site
-// into the coordinator sketch as one block through FD's bulk AppendRows,
-// which fills to 4*ell rows between shrinks. Mergeability makes the
-// grouping free: the coordinator sketch satisfies the same bound however
-// the shipped rows are batched. Synchronize()/SynchronizeSites() end with
+// into the coordinator sketch as one block through FD's bulk AppendRows.
+// At MP1's shapes (6*ell >= d, e.g. ell = 20, d = 44 on PAMAP) that is
+// FD's dense route, where the whole block costs one shrink: one Gram of
+// the sketch plus the block, one eigensolve per drain. Wider shapes take
+// the Lanczos route, which fills to 4*ell rows between shrinks.
+// Mergeability makes the grouping free: the coordinator sketch satisfies
+// the same bound however the shipped rows are batched. Synchronize()/SynchronizeSites() end with
 // a Compress(), so between windows the coordinator sketch holds at most
 // ell rows; the per-row ProcessRow() path skips that final shrink.
 //

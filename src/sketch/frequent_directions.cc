@@ -54,14 +54,28 @@ void FrequentDirections::AppendRows(const linalg::Matrix& rows) {
     AppendOwnRows();
     return;
   }
-  // Bulk path: fill the buffer to its full capacity between shrinks, so a
-  // block of n rows costs ~n / (capacity - ell) shrinks instead of the
-  // row-at-a-time n / ell. The FD guarantee is unaffected: each shrink's
-  // cutoff is the (ell+1)-th eigenvalue of whatever buffer it compresses,
-  // and errors remain additive across shrinks.
   EnsureShrinkWorkspace();
-  const size_t cap = BufferCapacityRows();
   const size_t n = rows.rows();
+  for (size_t k = 0; k < n; ++k) {
+    stream_sq_frob_ += linalg::SquaredNorm(rows.Row(k), dim_);
+  }
+  if (UsesDenseShrink(ell_, dim_) && buffer_.rows() + n >= 2 * ell_) {
+    // Dense route: the shrink's Gram is d x d whatever the row count, so
+    // the whole block costs one solve. The Gram of the buffer plus the
+    // caller's rows is built in place of copying them into the buffer,
+    // and one shrink leaves <= ell rows. The FD guarantee is unaffected:
+    // the cutoff lambda_{ell+1} of the stacked rows C still satisfies
+    // (ell+1) * delta <= ||C||_F^2 - ||B||_F^2 for any number of rows.
+    Shrink(rows.Row(0), n);
+    return;
+  }
+  // Lanczos route (or a block that stays under 2*ell rows): fill the
+  // buffer to its full capacity between shrinks, so a block of n rows
+  // costs ~n / (capacity - ell) shrinks instead of the row-at-a-time
+  // n / ell. The buffer is the Lanczos operand, so rows are copied in;
+  // each shrink's cutoff is the (ell+1)-th eigenvalue of whatever buffer
+  // it compresses, and errors remain additive across shrinks.
+  const size_t cap = BufferCapacityRows();
   size_t i = 0;
   while (i < n) {
     if (buffer_.rows() >= cap) Shrink();
@@ -69,9 +83,6 @@ void FrequentDirections::AppendRows(const linalg::Matrix& rows) {
     const size_t take = std::min(n - i, cap - at);
     buffer_.ResizeRows(at + take);  // within the reservation: no realloc
     std::copy(rows.Row(i), rows.Row(i) + take * dim_, buffer_.Row(at));
-    for (size_t k = 0; k < take; ++k) {
-      stream_sq_frob_ += linalg::SquaredNorm(rows.Row(i + k), dim_);
-    }
     i += take;
   }
   ShrinkIfNeeded();  // restore the < 2*ell streaming invariant
@@ -162,25 +173,25 @@ void FrequentDirections::EnsureShrinkGram() {
 }
 
 DMT_NO_ALLOC
-void FrequentDirections::Shrink() {
+void FrequentDirections::Shrink(const double* extra, size_t extra_rows) {
   ++shrink_count_;
   DMT_CHECK_GT(dim_, 0u);
   EnsureShrinkWorkspace();
   if (backend_ == FdShrinkBackend::kJacobi) {
-    ShrinkJacobi();
+    ShrinkJacobi(extra, extra_rows);
     return;
   }
-  if (!ShrinkTopK()) {
+  if (!ShrinkTopK(extra, extra_rows)) {
     // Residual tolerance or QL iteration cap missed: rerun this shrink on
     // the exact reference path. The buffer is untouched until a solve
     // succeeds, so the rerun sees the same rows.
     ++lanczos_fallbacks_;
-    ShrinkJacobi();
+    ShrinkJacobi(extra, extra_rows);
   }
 }
 
 DMT_NO_ALLOC
-bool FrequentDirections::ShrinkTopK() {
+bool FrequentDirections::ShrinkTopK(const double* extra, size_t extra_rows) {
   const size_t d = dim_;
   const size_t n = buffer_.rows();
   const size_t k = std::min(ell_ + 1, d);
@@ -190,6 +201,10 @@ bool FrequentDirections::ShrinkTopK() {
     // One blocked Gram build, then a dense tridiagonal QL solve of it.
     EnsureShrinkGram();
     linalg::kernels::Gram(buffer_.Row(0), n, d, shrink_gram_.Row(0));
+    if (extra_rows > 0) {
+      linalg::kernels::GramAccumulate(extra, extra_rows, d,
+                                      shrink_gram_.Row(0));
+    }
     converged = dense_solver_
                     .TopKOfGram(shrink_gram_, k, &eigenvalues_,
                                 &eigenvectors_)
@@ -199,6 +214,7 @@ bool FrequentDirections::ShrinkTopK() {
     // always wider than tall): each matvec is two GEMV-shaped passes,
     // y = B^T (B x), and the d x d Gram is never materialized.
     DMT_CHECK_LT(n, d);
+    DMT_CHECK_EQ(extra_rows, 0u);
     // The solver's default tolerance: row matvecs stall a little above
     // 1e-11 relative, where a shrink would spend all its restarts and
     // then fall back to Jacobi.
@@ -227,6 +243,10 @@ bool FrequentDirections::ShrinkTopK() {
             warm_seed_.begin());
   warm_seed_valid_ = true;
 
+  // A bulk shrink may keep more rows than the buffer holds; the rows are
+  // rebuilt from eigenvectors_ below, so the grown rows' contents do not
+  // matter (kept <= ell, within the reservation).
+  if (kept > n) buffer_.ResizeRows(kept);
   for (size_t i = 0; i < kept; ++i) {
     // Clamp before the sqrt: near-tied lambda_ell ~ lambda_{ell+1} can
     // leave the difference a roundoff hair negative.
@@ -242,7 +262,22 @@ bool FrequentDirections::ShrinkTopK() {
 }
 
 DMT_NO_ALLOC
-void FrequentDirections::ShrinkJacobi() {
+void FrequentDirections::RotateIntoGram(const double* rows, size_t n) {
+  const size_t d = dim_;
+  const size_t chunk = BufferCapacityRows();  // rotated_'s reservation
+  for (size_t i = 0; i < n; i += chunk) {
+    const size_t take = std::min(chunk, n - i);
+    rotated_.ResizeRows(take);
+    linalg::kernels::Gemm(rows + i * d, basis_.Row(0), rotated_.Row(0), take,
+                          d, d);
+    linalg::kernels::GramAccumulate(rotated_.Row(0), take, d,
+                                    gram_work_.Row(0));
+  }
+}
+
+DMT_NO_ALLOC
+void FrequentDirections::ShrinkJacobi(const double* extra,
+                                      size_t extra_rows) {
   EnsureJacobiWorkspace();
   if (!jacobi_warm_valid_) {
     // Cold start: no rows are pre-diagonalized, the rotation basis is
@@ -259,16 +294,11 @@ void FrequentDirections::ShrinkJacobi() {
   // Invariant on entry: buffer rows [0, kept_rows_) are exact scaled
   // eigenvectors of basis_, so their Gram in that basis is the diagonal
   // already stored in gram_work_. Only the rows appended since the last
-  // shrink need to be rotated in: one blocked GEMM (R = New * V) plus one
-  // blocked symmetric accumulation (G += R^T R).
-  const size_t nn = n - kept_rows_;
-  if (nn > 0) {
-    rotated_.ResizeRows(nn);
-    linalg::kernels::Gemm(buffer_.Row(kept_rows_), basis_.Row(0),
-                          rotated_.Row(0), nn, d, d);
-    linalg::kernels::GramAccumulate(rotated_.Row(0), nn, d,
-                                    gram_work_.Row(0));
-  }
+  // shrink need to be rotated in — then a bulk shrink's rows, straight
+  // from the caller — each as one blocked GEMM (R = New * V) plus one
+  // blocked symmetric accumulation (G += R^T R) per rotated_-sized chunk.
+  RotateIntoGram(buffer_.Row(kept_rows_), n - kept_rows_);
+  RotateIntoGram(extra, extra_rows);
 
   // Warm-started cyclic Jacobi: the kept block is already diagonal, so
   // only couplings introduced by the new rows cost rotations. basis_
@@ -296,10 +326,12 @@ void FrequentDirections::ShrinkJacobi() {
   }
 
   // Rebuild the surviving rows in place: row i = sqrt(lambda_i - delta)
-  // times eigenvector order_[i]. Safe because kept <= ell < n and the
-  // source is basis_, not the buffer. The max() clamps the subtraction
-  // against roundoff-negative differences (near-tied lambda_ell ~
-  // lambda_{ell+1}) that would otherwise sqrt into NaN.
+  // times eigenvector order_[i]. Safe because the source is basis_, not
+  // the buffer (which a bulk shrink may first grow to kept <= ell rows,
+  // within the reservation). The max() clamps the subtraction against
+  // roundoff-negative differences (near-tied lambda_ell ~ lambda_{ell+1})
+  // that would otherwise sqrt into NaN.
+  if (kept > n) buffer_.ResizeRows(kept);
   for (size_t i = 0; i < kept; ++i) {
     const double scale = std::sqrt(std::max(0.0, diag_[order_[i]] - delta));
     const size_t c = order_[i];

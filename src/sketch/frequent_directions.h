@@ -45,11 +45,19 @@
 //  * Sketches are mergeable [Agarwal et al. 2012]: Merge() bulk-appends
 //    the other sketch's rows and lets one shrink re-compress; errors add,
 //    so the combined sketch still satisfies the bound for A1 stacked on
-//    A2. AppendRows uses the same bulk path: it fills the buffer to
-//    capacity before each shrink, so a block of n rows costs ~n/(3*ell)
-//    shrinks instead of the row-at-a-time n/ell. Protocol MP1 relies on
-//    both at the coordinator: each drain feeds the rows of every shipped
-//    site sketch through one AppendRows.
+//    A2. The same argument lets AppendRows group a block of n rows into
+//    fewer shrinks than the row-at-a-time n/ell, on a schedule fixed by
+//    (ell, d) alone, whatever the backend:
+//     - dense route (UsesDenseShrink): one shrink per call once the
+//       buffer plus the block reach 2*ell rows. The Gram is d x d
+//       whatever the row count, so the block is accumulated into it
+//       straight from the caller's matrix and solved once; the rows are
+//       never copied into the buffer.
+//     - Lanczos route: the buffer is the solver's operand, so it fills to
+//       its 4*ell capacity before each shrink, ~n/(3*ell) shrinks.
+//    Protocol MP1 relies on both at the coordinator: each drain feeds the
+//    rows of every shipped site sketch through one AppendRows, so at
+//    MP1's (ell, d) a window costs one eigensolve.
 #ifndef DMT_SKETCH_FREQUENT_DIRECTIONS_H_
 #define DMT_SKETCH_FREQUENT_DIRECTIONS_H_
 
@@ -88,10 +96,13 @@ class FrequentDirections {
   void Append(const std::vector<double>& row);
   void Append(const double* row, size_t n);
 
-  /// Appends every row of `rows` through the bulk path: the buffer fills
-  /// to its full (4*ell) capacity between shrinks, amortizing one shrink
-  /// over ~3*ell rows instead of the row-at-a-time ell. Self-alias with
-  /// the sketch buffer is safe.
+  /// Appends every row of `rows` through the bulk path. On the dense
+  /// route (UsesDenseShrink) a block that takes the sketch to >= 2*ell
+  /// rows costs exactly one shrink of the buffer stacked on the block,
+  /// leaving <= ell rows; on the Lanczos route the buffer fills to its
+  /// full (4*ell) capacity between shrinks, amortizing one shrink over
+  /// ~3*ell rows instead of the row-at-a-time ell. Self-alias with the
+  /// sketch buffer is safe.
   void AppendRows(const linalg::Matrix& rows);
 
   /// Merges another FD sketch (same ell) into this one. Mergeability
@@ -185,14 +196,20 @@ class FrequentDirections {
   void EnsureJacobiWorkspace();
 
   void ShrinkIfNeeded();
-  void Shrink();
+  /// Compresses the buffer stacked on `extra_rows` more rows at `extra`
+  /// (row-major, dim_ wide, read in place; a bulk AppendRows on the dense
+  /// route passes its whole block) down to <= ell rows in one shrink.
+  void Shrink(const double* extra = nullptr, size_t extra_rows = 0);
   /// Jacobi reference shrink (cold-starts when jacobi_warm_valid_ is
   /// false, e.g. right after a default-backend shrink).
-  void ShrinkJacobi();
-  /// Default-backend shrink (dense or Lanczos route, top ell+1 pairs);
-  /// returns false if the solve did not converge (caller then runs
-  /// ShrinkJacobi on the untouched buffer).
-  bool ShrinkTopK();
+  void ShrinkJacobi(const double* extra, size_t extra_rows);
+  /// G += (rows * basis_)^T (rows * basis_) for n rows, in chunks of
+  /// rotated_'s reserved capacity.
+  void RotateIntoGram(const double* rows, size_t n);
+  /// Default-backend shrink (dense or Lanczos route, top ell+1 pairs;
+  /// extra rows only on the dense route); returns false if the solve did
+  /// not converge (caller then runs ShrinkJacobi on the untouched buffer).
+  bool ShrinkTopK(const double* extra, size_t extra_rows);
 
   size_t ell_;
   size_t dim_;

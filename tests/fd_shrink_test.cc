@@ -21,16 +21,35 @@ namespace {
 
 using linalg::Matrix;
 
+// One cold FD shrink of `c` down to <= ell rows, by a RightSingularOf
+// decomposition from scratch; adds its cutoff to *shrinkage.
+Matrix ColdShrink(const Matrix& c, size_t ell, double* shrinkage) {
+  const size_t dim = c.cols();
+  linalg::RightSingular rs = linalg::RightSingularOf(c);
+  const size_t d = rs.squared_sigma.size();
+  const double delta = ell < d ? rs.squared_sigma[ell] : 0.0;
+  *shrinkage += delta;
+  Matrix next(0, 0);
+  for (size_t i = 0; i < d && i < ell; ++i) {
+    const double lam = rs.squared_sigma[i] - delta;
+    if (lam <= 0.0) break;
+    const double scale = std::sqrt(lam);
+    std::vector<double> row(dim);
+    for (size_t j = 0; j < dim; ++j) row[j] = scale * rs.v(j, i);
+    next.AppendRow(row);
+  }
+  if (next.rows() == 0) next = Matrix(0, dim);
+  return next;
+}
+
 // The pre-kernel (seed) shrink pipeline: buffer rows, and on every 2*ell
 // fill run a cold RightSingularOf decomposition from scratch. Kept as the
 // reference semantics the warm-started pipeline must reproduce.
 class ColdReferenceFd {
  public:
-  explicit ColdReferenceFd(size_t ell, size_t dim = 0)
-      : ell_(ell), dim_(dim) {}
+  explicit ColdReferenceFd(size_t ell) : ell_(ell) {}
 
   void Append(const std::vector<double>& row) {
-    if (dim_ == 0) dim_ = row.size();
     buffer_.AppendRow(row);
     double w = 0.0;
     for (double v : row) w += v * v;
@@ -40,21 +59,7 @@ class ColdReferenceFd {
 
   void Shrink() {
     ++shrink_count_;
-    linalg::RightSingular rs = linalg::RightSingularOf(buffer_);
-    const size_t d = rs.squared_sigma.size();
-    const double delta = ell_ < d ? rs.squared_sigma[ell_] : 0.0;
-    total_shrinkage_ += delta;
-    Matrix next(0, 0);
-    for (size_t i = 0; i < d && i < ell_; ++i) {
-      const double lam = rs.squared_sigma[i] - delta;
-      if (lam <= 0.0) break;
-      const double scale = std::sqrt(lam);
-      std::vector<double> row(dim_);
-      for (size_t j = 0; j < dim_; ++j) row[j] = scale * rs.v(j, i);
-      next.AppendRow(row);
-    }
-    if (next.rows() == 0) next = Matrix(0, dim_);
-    buffer_ = std::move(next);
+    buffer_ = ColdShrink(buffer_, ell_, &total_shrinkage_);
   }
 
   const Matrix& sketch() const { return buffer_; }
@@ -64,7 +69,6 @@ class ColdReferenceFd {
 
  private:
   size_t ell_;
-  size_t dim_;
   Matrix buffer_;
   double stream_sq_frob_ = 0.0;
   double total_shrinkage_ = 0.0;
@@ -103,7 +107,7 @@ class ShrinkEquivalenceTest
 TEST_P(ShrinkEquivalenceTest, FirstShrinkMatchesColdPath) {
   auto [ell, d] = GetParam();
   FrequentDirections warm(ell, d);
-  ColdReferenceFd cold(ell, d);
+  ColdReferenceFd cold(ell);
   auto rows = GaussianRows(2 * ell, d, 100 + ell * 10 + d);
   for (const auto& r : rows) {
     warm.Append(r);
@@ -136,7 +140,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ShrinkEquivalenceTest,
 TEST(FdShrinkTest, WarmStartTracksColdPathAcrossManyShrinks) {
   const size_t ell = 5, d = 10, n = 600;
   FrequentDirections warm(ell, d);
-  ColdReferenceFd cold(ell, d);
+  ColdReferenceFd cold(ell);
   auto rows = GaussianRows(n, d, 42);
   for (const auto& r : rows) {
     warm.Append(r);
@@ -218,6 +222,84 @@ TEST(FdShrinkTest, AppendRowsBulkPathShrinksFarLessOften) {
   EXPECT_LE(e.eigenvalues.front(), bulk.total_shrinkage() + 1e-8);
   EXPECT_GE(e.eigenvalues.back(),
             -1e-8 * bulk.stream_squared_frobenius());
+}
+
+// On the dense route the shrink's Gram is d x d whatever the row count,
+// so a bulk AppendRows that reaches 2*ell rows is one shrink of the
+// buffer stacked on the whole block — here the MP1 coordinator's shape
+// and drain size, onto a sketch that already holds rows — and it must
+// equal one cold shrink of that stacked matrix. Both backends follow the
+// same schedule.
+TEST(FdShrinkTest, DenseBulkAppendShrinksOnceLikeAColdShrinkOfTheStack) {
+  const size_t ell = 20, d = 44, n = 3000;
+  ASSERT_TRUE(FrequentDirections::UsesDenseShrink(ell, d));
+  auto head = GaussianRows(150, d, 41);
+  Matrix block;
+  for (const auto& r : GaussianRows(n, d, 42)) block.AppendRow(r);
+
+  std::vector<size_t> shrink_counts;
+  for (FdShrinkBackend backend :
+       {FdShrinkBackend::kLanczos, FdShrinkBackend::kJacobi}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "backend=" << static_cast<int>(backend));
+    FrequentDirections fd(ell, d);
+    fd.set_shrink_backend(backend);
+    Matrix a;
+    for (const auto& r : head) {
+      a.AppendRow(r);
+      fd.Append(r);
+    }
+    ASSERT_GT(fd.rows(), 0u);
+    const size_t pre_shrinks = fd.shrink_count();
+    const double pre_shrinkage = fd.total_shrinkage();
+    Matrix stacked = fd.sketch();
+    stacked.AppendRows(block);
+    a.AppendRows(block);
+
+    fd.AppendRows(block);
+    EXPECT_EQ(fd.shrink_count(), pre_shrinks + 1);
+    EXPECT_EQ(fd.lanczos_fallback_count(), 0u);
+    EXPECT_LE(fd.rows(), ell);
+
+    double cold_delta = 0.0;
+    const Matrix cold = ColdShrink(stacked, ell, &cold_delta);
+    const double scale = fd.stream_squared_frobenius();
+    EXPECT_NEAR(fd.total_shrinkage() - pre_shrinkage, cold_delta,
+                1e-10 * scale);
+    EXPECT_LE(fd.Gram().MaxAbsDiff(cold.Gram()), 1e-9 * scale);
+
+    // FD bound over the whole stream.
+    EXPECT_NEAR(scale, a.SquaredFrobeniusNorm(), 1e-12 * scale);
+    EXPECT_LE(fd.total_shrinkage(),
+              scale / static_cast<double>(ell + 1) + 1e-9 * scale);
+    Matrix diff = a.Gram();
+    diff.Subtract(fd.Gram());
+    linalg::EigenDecomposition e = linalg::SymmetricEigen(diff);
+    EXPECT_LE(e.eigenvalues.front(), fd.total_shrinkage() + 1e-8 * scale);
+    EXPECT_GE(e.eigenvalues.back(), -1e-8 * scale);
+    shrink_counts.push_back(fd.shrink_count());
+  }
+  EXPECT_EQ(shrink_counts[0], shrink_counts[1]);
+}
+
+// The Lanczos route iterates on the buffer, so a bulk AppendRows there
+// keeps filling it to 4*ell rows between shrinks: a block of n rows
+// costs about n / (3*ell) shrinks on either backend.
+TEST(FdShrinkTest, LanczosBulkAppendKeepsItsMultiShrinkSchedule) {
+  const size_t ell = 8, d = 49, n = 400;
+  ASSERT_FALSE(FrequentDirections::UsesDenseShrink(ell, d));
+  Matrix a;
+  for (const auto& r : GaussianRows(n, d, 43)) a.AppendRow(r);
+  FrequentDirections fast(ell, d);
+  fast.set_shrink_backend(FdShrinkBackend::kLanczos);
+  FrequentDirections jacobi(ell, d);
+  jacobi.set_shrink_backend(FdShrinkBackend::kJacobi);
+  fast.AppendRows(a);
+  jacobi.AppendRows(a);
+  EXPECT_GE(fast.shrink_count(), n / (4 * ell));
+  EXPECT_EQ(fast.shrink_count(), jacobi.shrink_count());
+  EXPECT_EQ(fast.lanczos_fallback_count(), 0u);
+  EXPECT_LT(fast.rows(), 2 * ell);
 }
 
 // The default backend must match the Jacobi reference backend
@@ -302,13 +384,14 @@ TEST(FdShrinkTest, LanczosBackendMatchesJacobiInWideRegime) {
 // Shapes on both routes of the default backend, each against the Jacobi
 // reference backend on the same stream: the MP1 shape (ell = 20, d = 44)
 // solved densely, ell >= d (dense, delta = 0), a bulk AppendRows stream
-// whose buffer grows taller than wide (d <= 4*ell, dense), the two sides
-// of the 6*ell = d boundary through bulk AppendRows (ell = 8, d = 48
-// dense; d = 49 Lanczos), and the streaming Lanczos route on rows
-// (ell = 16, d = 256).
+// taller than wide (d <= 4*ell, dense), the two sides of the 6*ell = d
+// boundary through bulk AppendRows (ell = 8, d = 48 dense; d = 49
+// Lanczos), and the streaming Lanczos route on rows (ell = 16, d = 256).
+// A dense-route AppendRows shrinks once per call, so bulk streams arrive
+// as four blocks: each backend then shrinks at least once per block.
 struct RouteCase {
   size_t ell, d, n;
-  bool bulk;   // feed through AppendRows instead of Append
+  bool bulk;   // feed through four AppendRows blocks instead of Append
   bool dense;  // expected UsesDenseShrink(ell, d)
 };
 
@@ -327,8 +410,13 @@ TEST_P(ShrinkRouteTest, MatchesJacobiBackendAndKeepsTheBound) {
     a.AppendRow(r);
   }
   if (c.bulk) {
-    fast.AppendRows(a);
-    jacobi.AppendRows(a);
+    const size_t blocks = 4, per = c.n / blocks;
+    for (size_t b = 0; b < blocks; ++b) {
+      Matrix block(0, c.d);
+      block.AppendRows(a.Row(b * per), per, c.d);
+      fast.AppendRows(block);
+      jacobi.AppendRows(block);
+    }
   } else {
     for (size_t i = 0; i < a.rows(); ++i) {
       fast.Append(a.Row(i), c.d);

@@ -92,6 +92,12 @@ _STRING_GROWTH = frozenset(
     ["_M_create", "_M_mutate", "_M_replace", "_M_append", "append",
      "push_back", "reserve", "resize", "insert", "assign"]
 )
+# Containers whose sized (n) and fill (n, value) constructors allocate in
+# the constructor body. GCC wraps that body in a try_catch_expr (to destroy
+# the already-built base if the allocation throws), and the raw dump prints
+# no operands for it, so the walk never reaches the allocation: these
+# constructors are classified as leaves at the call site instead.
+_SIZED_CTOR_CLASSES = frozenset(["vector", "basic_string"])
 _THREADISH_RE = re.compile(r"thread|worker|concurr", re.I)
 
 _MAX_PATHS_PER_FN = 64
@@ -132,6 +138,21 @@ _ABORT_NAMES = frozenset(
 _CLAMP_RE = re.compile(r"remaining\s*\(|\bkMax\w+", re.I)
 _GROWTH_SINKS = frozenset(["resize", "reserve", "assign"])
 _ACQUIRE_KINDS = r"(?:lock_guard|unique_lock|scoped_lock|shared_lock)"
+
+
+def _first_param_kind(section, fdecl):
+    """Node kind of a member function's first parameter after `this`, or
+    None when it has none."""
+    ftype = section.node(fdecl.ref("type"))
+    prms = ftype.ref("prms") if ftype is not None else None
+    for _ in range(2):  # `this`, then the first declared parameter
+        item = section.node(prms) if prms is not None else None
+        if item is None:
+            return None
+        first = item
+        prms = item.ref("chan")
+    valu = section.node(first.ref("valu"))
+    return valu.kind if valu is not None else None
 
 
 class Finding:
@@ -382,6 +403,10 @@ class Analyzer:
         if name in _STRING_GROWTH and chain and chain[-1] == "basic_string":
             if fdecl.get("body") == "undefined":
                 return "std::string growth (%s)" % name
+        if (fdecl.has_note("constructor") and chain and chain[0] == "std"
+                and chain[-1] in _SIZED_CTOR_CLASSES
+                and _first_param_kind(section, fdecl) == "integer_type"):
+            return "std::%s sized constructor" % chain[-1]
         return None
 
     def _classify_abort_leaf(self, section, fdecl):

@@ -5,7 +5,11 @@
 // EXPECT-FINDING: noalloc-violation fn=HotDirect
 // EXPECT-FINDING: noalloc-violation fn=HotTransitive
 // EXPECT-FINDING: noalloc-violation fn=HotNew
+// EXPECT-FINDING: noalloc-violation fn=HotSizedVector
+// EXPECT-FINDING: noalloc-violation fn=HotFilledVector
+// EXPECT-FINDING: noalloc-violation fn=HotSizedString
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "util/contracts.h"
@@ -31,6 +35,25 @@ double HotNew(std::size_t n) {
   double s = p[0];
   delete[] p;
   return s;
+}
+
+// Sized and fill constructors allocate as surely as resize() does.
+DMT_NO_ALLOC
+double HotSizedVector(std::size_t n) {
+  std::vector<double> v(n);
+  return v.empty() ? 0.0 : v[0];
+}
+
+DMT_NO_ALLOC
+double HotFilledVector(std::size_t n) {
+  const std::vector<double> v(n, 1.0);
+  return v.empty() ? 0.0 : v[0];
+}
+
+DMT_NO_ALLOC
+std::size_t HotSizedString(std::size_t n) {
+  const std::string s(n, 'x');
+  return s.size();
 }
 
 }  // namespace fixture

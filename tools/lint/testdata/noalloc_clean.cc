@@ -33,6 +33,13 @@ void HotFill(Workspace& w, double value) {
   for (std::size_t i = 0; i < w.data.size(); ++i) w.data[i] = value;
 }
 
+// Only sized and fill constructors allocate: an empty vector does not.
+DMT_NO_ALLOC
+std::size_t HotEmptyVector() {
+  const std::vector<double> v;
+  return v.size();
+}
+
 // Calling an ALLOC_OK helper from a NO_ALLOC root is the sanctioned
 // setup pattern: the barrier stops the transitive walk.
 DMT_NO_ALLOC
