@@ -384,6 +384,61 @@ const std::vector<Golden>& Goldens() {
   return g;
 }
 
+// Unoptimized builds (Debug, and the sanitizer builds made from it) do
+// not fuse multiply-adds in the AVX2+FMA linalg kernels, so FD shrinks and
+// covariance Grams round differently there. These answer hashes replace
+// the table's in such builds; they were recorded from the same commit in a
+// Debug build (message counts do not depend on the build).
+struct UnoptimizedHash {
+  const char* protocol;
+  const char* routing;
+  size_t chunk;
+  uint64_t answer_hash;
+};
+
+const std::vector<UnoptimizedHash>& UnoptimizedHashes() {
+  static const std::vector<UnoptimizedHash> h = {
+      {"MP1", "uniform", 0, 0x70a81c50f42c0f73ull},
+      {"MP1", "uniform", 1, 0x31bc3bcefbfcc93dull},
+      {"MP1", "uniform", 64, 0xdbd6fde3bda55c9aull},
+      {"MP1", "uniform", 4096, 0x5ced5fd18d2e67c7ull},
+      {"MP1", "skewed", 0, 0x4fb2d44855a4541bull},
+      {"MP1", "skewed", 1, 0x33a0f9bac67a7af8ull},
+      {"MP1", "skewed", 64, 0x6750d04e7d83baccull},
+      {"MP1", "skewed", 4096, 0x2929e3af9865825full},
+      {"NaiveFd", "uniform", 0, 0x8909cb329d4211a1ull},
+      {"NaiveFd", "uniform", 1, 0x8909cb329d4211a1ull},
+      {"NaiveFd", "uniform", 64, 0x38ac309be9786b9cull},
+      {"NaiveFd", "uniform", 4096, 0xf2b14bb9ab6b02e5ull},
+      {"NaiveFd", "skewed", 0, 0x8909cb329d4211a1ull},
+      {"NaiveFd", "skewed", 1, 0x8909cb329d4211a1ull},
+      {"NaiveFd", "skewed", 64, 0xd2f86c19c6ec7efbull},
+      {"NaiveFd", "skewed", 4096, 0x5f371632de43c9fcull},
+      {"NaiveSvd", "uniform", 64, 0xb8c82a2441714759ull},
+      {"NaiveSvd", "uniform", 4096, 0x740fd8faada0f000ull},
+      {"NaiveSvd", "skewed", 64, 0x7f7eeae2ff532efaull},
+      {"NaiveSvd", "skewed", 4096, 0x3519fccefe7cf58dull},
+  };
+  return h;
+}
+
+#ifdef __OPTIMIZE__
+constexpr bool kOptimizedBuild = true;
+#else
+constexpr bool kOptimizedBuild = false;
+#endif
+
+uint64_t ExpectedHash(const Golden& g) {
+  if (kOptimizedBuild) return g.answer_hash;
+  for (const UnoptimizedHash& u : UnoptimizedHashes()) {
+    if (std::string(g.protocol) == u.protocol &&
+        std::string(g.routing) == u.routing && g.chunk == u.chunk) {
+      return u.answer_hash;
+    }
+  }
+  return g.answer_hash;
+}
+
 void ExpectGolden(const std::string& protocol, const std::string& routing,
                   size_t chunk, const Fingerprint& f) {
   const std::string actual = TableLine(protocol, routing, chunk, f);
@@ -399,7 +454,7 @@ void ExpectGolden(const std::string& protocol, const std::string& routing,
     EXPECT_EQ(f.stats.rounds, g.stats.rounds);
     EXPECT_EQ(f.per_site, g.per_site);
     EXPECT_EQ(f.answer_size, g.answer_size);
-    EXPECT_EQ(f.answer_hash, g.answer_hash) << "actual: " << actual;
+    EXPECT_EQ(f.answer_hash, ExpectedHash(g)) << "actual: " << actual;
     return;
   }
   ADD_FAILURE() << "no golden row; actual:\n" << actual;
@@ -461,6 +516,9 @@ std::vector<Case> Cases() {
   };
 }
 
+// Registered test names end in the protocol name.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
+
 class ProtocolGoldenTest : public ::testing::TestWithParam<Case> {};
 
 TEST_P(ProtocolGoldenTest, SerialAndDriverRunsMatchGolden) {
@@ -505,11 +563,8 @@ TEST_P(ProtocolGoldenTest, SerialAndDriverRunsMatchGolden) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Protocols, ProtocolGoldenTest, ::testing::ValuesIn(Cases()),
-    [](const ::testing::TestParamInfo<Case>& info) {
-      return std::string(info.param.name);
-    });
+INSTANTIATE_TEST_SUITE_P(Protocols, ProtocolGoldenTest,
+                         ::testing::ValuesIn(Cases()));
 
 }  // namespace
 }  // namespace dmt
