@@ -3,35 +3,7 @@
 namespace dmt {
 namespace hh {
 
-ExactTracker::ExactTracker(size_t num_sites)
-    : network_(num_sites), outbox_(num_sites) {}
-
-void ExactTracker::Process(size_t site, uint64_t element, double weight) {
-  network_.RecordElement(site);
-  weights_[element] += weight;
-  total_ += weight;
-}
-
-void ExactTracker::SiteUpdate(size_t site, uint64_t element, double weight) {
-  network_.RecordElement(site);
-  outbox_[site].emplace_back(element, weight);
-}
-
-void ExactTracker::DrainSite(size_t site) {
-  for (const auto& [element, weight] : outbox_[site]) {
-    weights_[element] += weight;
-    total_ += weight;
-  }
-  outbox_[site].clear();
-}
-
-void ExactTracker::Synchronize() {
-  for (size_t s = 0; s < outbox_.size(); ++s) DrainSite(s);
-}
-
-void ExactTracker::SynchronizeSites(const uint32_t* sites, size_t count) {
-  for (size_t i = 0; i < count; ++i) DrainSite(sites[i]);
-}
+ExactTracker::ExactTracker(size_t num_sites) : HHProtocolCore(num_sites) {}
 
 double ExactTracker::EstimateElementWeight(uint64_t element) const {
   auto it = weights_.find(element);
@@ -39,10 +11,6 @@ double ExactTracker::EstimateElementWeight(uint64_t element) const {
 }
 
 double ExactTracker::EstimateTotalWeight() const { return total_; }
-
-const stream::CommStats& ExactTracker::comm_stats() const {
-  return network_.stats();
-}
 
 std::vector<uint64_t> ExactTracker::TrackedElements() const {
   std::vector<uint64_t> out;

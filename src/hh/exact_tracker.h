@@ -9,45 +9,43 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "hh/hh_protocol.h"
-#include "stream/network.h"
 
 namespace dmt {
 namespace hh {
 
+/// One forwarded arrival.
+struct ExactForward {
+  uint64_t element;
+  double weight;
+};
+
 /// Forward-everything exact tracker.
-class ExactTracker : public HeavyHitterProtocol {
+class ExactTracker : public HHProtocolCore<ExactTracker, ExactForward> {
  public:
   explicit ExactTracker(size_t num_sites);
 
-  void Process(size_t site, uint64_t element, double weight) override;
-  void SiteUpdate(size_t site, uint64_t element, double weight) override;
-  void Synchronize() override;
-  void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
-  size_t PendingOutboxSize(size_t site) const override {
-    return outbox_[site].size();
-  }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   double EstimateElementWeight(uint64_t element) const override;
   double EstimateTotalWeight() const override;
-  const stream::CommStats& comm_stats() const override;
-  std::vector<uint64_t> per_site_messages() const override {
-    return network_.per_site_up();
-  }
   std::string name() const override { return "Exact"; }
   std::vector<uint64_t> TrackedElements() const override;
 
  private:
-  /// Delivers one site's queued forwards in emission order.
-  void DrainSite(size_t site);
+  friend Core;
 
-  stream::Network network_;
-  // Per-site queue of forwarded (element, weight) pairs.
-  std::vector<std::vector<std::pair<uint64_t, double>>> outbox_;
+  static stream::MessageCost Cost(const ExactForward&) {
+    return stream::MessageCost{0, 1, 0};
+  }
+  void SiteStep(size_t site, uint64_t element, double weight) {
+    Emit(site, ExactForward{element, weight});
+  }
+  void Apply(size_t, const ExactForward& f) {
+    weights_[f.element] += f.weight;
+    total_ += f.weight;
+  }
+
   std::unordered_map<uint64_t, double> weights_;
   double total_ = 0.0;
 };

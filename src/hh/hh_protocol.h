@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "stream/comm_stats.h"
+#include "stream/protocol_core.h"
 
 namespace dmt {
 namespace hh {
@@ -46,8 +47,8 @@ class HeavyHitterProtocol {
   virtual void Process(size_t site, uint64_t element, double weight) = 0;
 
   /// Site-local half of Process(): updates only state owned by `site`
-  /// (including that site's network shard) and queues outgoing messages in
-  /// a per-site outbox for the next Synchronize(). When
+  /// and queues outgoing messages in a per-site outbox for the next
+  /// Synchronize(). When
   /// SupportsConcurrentSiteUpdates() is true, calls for *distinct* sites
   /// may run concurrently between two Synchronize() calls; calls for the
   /// same site must stay on one thread. Default: serial Process()
@@ -133,6 +134,25 @@ class HeavyHitterProtocol {
   /// Default: sorted+deduplicated TrackedElements() with
   /// EstimateElementWeight() per element.
   virtual std::vector<HHSnapshotEntry> ExportSnapshotEntries() const;
+};
+
+/// Base of the heavy-hitter protocols built on the message core
+/// (stream/protocol_core.h): binds Process() and SiteUpdate() to
+/// Derived::SiteStep(site, element, weight).
+template <typename Derived, typename Msg>
+class HHProtocolCore
+    : public stream::ProtocolCore<Derived, HeavyHitterProtocol, Msg> {
+ public:
+  void Process(size_t site, uint64_t element, double weight) override {
+    this->RunSerial(site, element, weight);
+  }
+  void SiteUpdate(size_t site, uint64_t element, double weight) override {
+    this->RunSite(site, element, weight);
+  }
+
+ protected:
+  using stream::ProtocolCore<Derived, HeavyHitterProtocol,
+                             Msg>::ProtocolCore;
 };
 
 inline std::vector<HHSnapshotEntry> HeavyHitterProtocol::ExportSnapshotEntries()

@@ -19,52 +19,32 @@
 
 #include "hh/hh_protocol.h"
 #include "sketch/misra_gries.h"
-#include "stream/network.h"
 
 namespace dmt {
 namespace hh {
 
+/// A site's shipped batch: the snapshot of its MG summary plus the local
+/// weight W_i since the previous flush. Public because the wire transport
+/// (src/net) serializes it.
+struct P1Flush {
+  sketch::WeightedMisraGries summary;
+  double weight;
+};
+
 /// Deterministic batched-summary protocol (P1).
-class P1BatchedMG : public HeavyHitterProtocol {
+class P1BatchedMG : public HHProtocolCore<P1BatchedMG, P1Flush> {
  public:
   /// `num_sites` = m, `eps` = target additive error fraction.
   P1BatchedMG(size_t num_sites, double eps);
 
-  void Process(size_t site, uint64_t element, double weight) override;
-  void SiteUpdate(size_t site, uint64_t element, double weight) override;
-  void Synchronize() override;
-  void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
-  size_t PendingOutboxSize(size_t site) const override {
-    return outbox_[site].size();
-  }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   double EstimateElementWeight(uint64_t element) const override;
   double EstimateTotalWeight() const override;
-  const stream::CommStats& comm_stats() const override;
-  std::vector<uint64_t> per_site_messages() const override {
-    return network_.per_site_up();
-  }
   std::string name() const override { return "P1"; }
   std::vector<uint64_t> TrackedElements() const override;
 
-  /// A site's shipped batch awaiting coordinator delivery: the snapshot of
-  /// its MG summary plus the local weight W_i since the previous flush.
-  /// Public because the wire transport (src/net) serializes it.
-  struct PendingFlush {
-    sketch::WeightedMisraGries summary;
-    double weight;
-  };
+  // --- Wire-transport hooks (src/net), beside the core's TakeOutbox and
+  // Deliver.
 
-  // --- Wire-transport hooks (src/net). The in-process schedule and these
-  // hooks expose the same site/coordinator halves, so a run over a real
-  // channel replays bit-identically (tests/net_transport_test.cc).
-
-  /// Site half: moves out this site's queued flushes, in emission order.
-  std::vector<PendingFlush> TakePendingFlushes(size_t site);
-  /// Coordinator half: records the message cost for `site` and applies one
-  /// flush — the remote-delivery equivalent of Synchronize()'s drain.
-  void DeliverFlush(size_t site, const PendingFlush& flush);
   /// Last broadcast W-hat (what the coordinator pushes down to sites).
   double broadcast_weight() const { return broadcast_weight_; }
   /// Installs a received W-hat broadcast into one site's view.
@@ -73,20 +53,25 @@ class P1BatchedMG : public HeavyHitterProtocol {
   size_t summary_k() const { return coordinator_summary_.k(); }
 
  private:
-  // Site half of a flush (messages + outbox + site reset).
-  void EmitFlush(size_t site);
-  // Delivers one site's queued flushes in emission order.
-  void DrainSite(size_t site);
+  friend Core;
+
+  // Message cost: every live counter travels as an (element, weight)
+  // pair; the scalar W_i piggybacks on the batch (Algorithm 4.1 ships
+  // "(G_i, W_i)" as one payload). An empty summary still costs the scalar.
+  static stream::MessageCost Cost(const P1Flush& flush) {
+    const size_t k = flush.summary.size();
+    return k == 0 ? stream::MessageCost{1, 0, 0}
+                  : stream::MessageCost{0, k, 0};
+  }
+  void SiteStep(size_t site, uint64_t element, double weight);
   // Coordinator half (merge + W_C + possible W-hat broadcast).
-  void ApplyFlush(const PendingFlush& flush);
+  void Apply(size_t site, const P1Flush& flush);
 
   double eps_;
-  stream::Network network_;
   // Per-site state.
   std::vector<sketch::WeightedMisraGries> site_summaries_;
   std::vector<double> site_weight_;    // W_i since last flush
   std::vector<double> site_west_;      // W-hat as known by the site
-  std::vector<std::vector<PendingFlush>> outbox_;  // per-site, FIFO
   // Coordinator state.
   sketch::WeightedMisraGries coordinator_summary_;
   double coordinator_weight_ = 0.0;    // W_C

@@ -7,12 +7,11 @@ namespace hh {
 
 P2Threshold::P2Threshold(size_t num_sites, double eps,
                          const P2Options& options)
-    : eps_(eps), options_(options), network_(num_sites) {
+    : HHProtocolCore(num_sites), eps_(eps), options_(options) {
   DMT_CHECK_GT(eps, 0.0);
   DMT_CHECK_LE(eps, 1.0);
   site_weight_.assign(num_sites, 0.0);
   site_west_.assign(num_sites, 0.0);
-  outbox_.resize(num_sites);
   if (options_.site_counters > 0) {
     site_summary_.reserve(num_sites);
     for (size_t i = 0; i < num_sites; ++i) {
@@ -24,18 +23,10 @@ P2Threshold::P2Threshold(size_t num_sites, double eps,
   }
 }
 
-void P2Threshold::Process(size_t site, uint64_t element, double weight) {
-  // Both thresholds below compare against the same pre-report W-hat, so
-  // deferring coordinator delivery to the end of the element is exactly
-  // the historical immediate-delivery behavior.
-  SiteUpdate(site, element, weight);
-  DrainSite(site);  // only this site can have queued anything
-}
-
-void P2Threshold::SiteUpdate(size_t site, uint64_t element, double weight) {
+void P2Threshold::SiteStep(size_t site, uint64_t element, double weight) {
   DMT_CHECK_LT(site, site_weight_.size());
   DMT_CHECK_GT(weight, 0.0);
-  const double m = static_cast<double>(network_.num_sites());
+  const double m = static_cast<double>(num_sites());
 
   site_weight_[site] += weight;
   double delta;
@@ -49,15 +40,15 @@ void P2Threshold::SiteUpdate(size_t site, uint64_t element, double weight) {
     delta = (site_delta_[site][element] += weight);
   }
 
-  // site_west_ only changes at Synchronize(), so the threshold is stable
-  // for the whole round.
+  // Both thresholds compare against the W-hat known before this arrival:
+  // on the serial path the scalar report below may broadcast a new W-hat
+  // before the element check, which must not see it.
   const double threshold = (eps_ / m) * site_west_[site];
 
   // Scalar (total-weight) report. With W-hat == 0 (bootstrap) the
   // threshold is 0 and the report happens immediately.
   if (site_weight_[site] >= threshold) {
-    network_.RecordScalar(site);
-    outbox_[site].push_back(PendingReport{true, site_weight_[site], 0});
+    Emit(site, P2Report{true, site_weight_[site], 0});
     site_weight_[site] = 0.0;
   }
 
@@ -69,41 +60,27 @@ void P2Threshold::SiteUpdate(size_t site, uint64_t element, double weight) {
       const double certain =
           delta - site_summary_[site].ErrorBound(element);
       if (certain > 0.0) {
-        network_.RecordElement(site);
-        outbox_[site].push_back(PendingReport{false, certain, element});
+        Emit(site, P2Report{false, certain, element});
         site_reported_[site][element] += certain;
       }
     } else {
-      network_.RecordElement(site);
-      outbox_[site].push_back(PendingReport{false, delta, element});
+      Emit(site, P2Report{false, delta, element});
       site_delta_[site].erase(element);
     }
   }
 }
 
-void P2Threshold::DrainSite(size_t site) {
-  for (const PendingReport& r : outbox_[site]) {
-    if (r.is_scalar) {
-      coordinator_total_ += r.value;
-      if (++scalar_msgs_since_broadcast_ >= network_.num_sites()) {
-        scalar_msgs_since_broadcast_ = 0;
-        network_.RecordBroadcast();
-        network_.RecordRound();
-        for (auto& w : site_west_) w = coordinator_total_;
-      }
-    } else {
-      coordinator_weights_[r.element] += r.value;
-    }
+void P2Threshold::Apply(size_t, const P2Report& r) {
+  if (!r.is_scalar) {
+    coordinator_weights_[r.element] += r.value;
+    return;
   }
-  outbox_[site].clear();
-}
-
-void P2Threshold::Synchronize() {
-  for (size_t s = 0; s < outbox_.size(); ++s) DrainSite(s);
-}
-
-void P2Threshold::SynchronizeSites(const uint32_t* sites, size_t count) {
-  for (size_t i = 0; i < count; ++i) DrainSite(sites[i]);
+  coordinator_total_ += r.value;
+  if (++scalar_msgs_since_broadcast_ >= num_sites()) {
+    scalar_msgs_since_broadcast_ = 0;
+    Broadcast();
+    for (auto& w : site_west_) w = coordinator_total_;
+  }
 }
 
 double P2Threshold::EstimateElementWeight(uint64_t element) const {
@@ -112,10 +89,6 @@ double P2Threshold::EstimateElementWeight(uint64_t element) const {
 }
 
 double P2Threshold::EstimateTotalWeight() const { return coordinator_total_; }
-
-const stream::CommStats& P2Threshold::comm_stats() const {
-  return network_.stats();
-}
 
 std::vector<uint64_t> P2Threshold::TrackedElements() const {
   std::vector<uint64_t> out;

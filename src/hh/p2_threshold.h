@@ -20,7 +20,6 @@
 
 #include "hh/hh_protocol.h"
 #include "sketch/space_saving.h"
-#include "stream/network.h"
 #include "util/aligned.h"
 
 namespace dmt {
@@ -36,46 +35,38 @@ struct P2Options {
   size_t site_counters = 0;
 };
 
+/// One P2 site->coordinator report. Scalar (total-weight) and element
+/// (delta) reports share the site's outbox, so delivery preserves the
+/// exact emission order within a site.
+struct P2Report {
+  bool is_scalar;
+  double value;      // W_i for scalars, reported delta for elements
+  uint64_t element;  // only meaningful when !is_scalar
+};
+
 /// Deterministic threshold protocol (P2).
-class P2Threshold : public HeavyHitterProtocol {
+class P2Threshold : public HHProtocolCore<P2Threshold, P2Report> {
  public:
   P2Threshold(size_t num_sites, double eps, const P2Options& options = {});
 
-  void Process(size_t site, uint64_t element, double weight) override;
-  void SiteUpdate(size_t site, uint64_t element, double weight) override;
-  void Synchronize() override;
-  void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
-  size_t PendingOutboxSize(size_t site) const override {
-    return outbox_[site].size();
-  }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   double EstimateElementWeight(uint64_t element) const override;
   double EstimateTotalWeight() const override;
-  const stream::CommStats& comm_stats() const override;
-  std::vector<uint64_t> per_site_messages() const override {
-    return network_.per_site_up();
-  }
   std::string name() const override { return "P2"; }
   std::vector<uint64_t> TrackedElements() const override;
 
  private:
-  /// One queued site->coordinator report. Scalar (total-weight) and
-  /// element (delta) reports share a FIFO so delivery preserves the exact
-  /// emission order within a site.
-  struct PendingReport {
-    bool is_scalar;
-    double value;      // W_i for scalars, reported delta for elements
-    uint64_t element;  // only meaningful when !is_scalar
-  };
+  friend Core;
 
-  /// Delivers one site's queued reports in emission order.
-  void DrainSite(size_t site);
+  static stream::MessageCost Cost(const P2Report& r) {
+    return r.is_scalar ? stream::MessageCost{1, 0, 0}
+                       : stream::MessageCost{0, 1, 0};
+  }
+  void SiteStep(size_t site, uint64_t element, double weight);
+  void Apply(size_t site, const P2Report& r);
 
   double eps_;
   P2Options options_;
-  stream::Network network_;
-  // Per-site state, SoA. The scalar-hot arrays (every SiteUpdate reads
+  // Per-site state, SoA. The scalar-hot arrays (every site step reads
   // and often writes both) are cache-line-aligned: with the driver's
   // batch-reservation scheduler handing each worker a contiguous site
   // range, workers then touch disjoint line ranges except at the two
@@ -88,7 +79,6 @@ class P2Threshold : public HeavyHitterProtocol {
   // (only elements that crossed the threshold ever get an entry).
   std::vector<std::unordered_map<uint64_t, double>> site_reported_;
   CacheAlignedVector<double> site_west_;    // W-hat known at the site
-  std::vector<std::vector<PendingReport>> outbox_;  // per-site, FIFO
   // Coordinator state.
   std::unordered_map<uint64_t, double> coordinator_weights_;
   double coordinator_total_ = 0.0;   // W-hat (grows with scalar reports)

@@ -19,67 +19,43 @@ size_t SampleSizeForEpsilon(double eps) {
 
 P3SamplingWoR::P3SamplingWoR(size_t num_sites, double eps, uint64_t seed,
                              size_t sample_size)
-    : s_(sample_size != 0 ? sample_size : SampleSizeForEpsilon(eps)),
-      network_(num_sites),
-      site_rngs_(MakeSiteRngs(num_sites, seed)),
-      outbox_(num_sites) {
+    : HHProtocolCore(num_sites),
+      s_(sample_size != 0 ? sample_size : SampleSizeForEpsilon(eps)),
+      site_rngs_(MakeSiteRngs(num_sites, seed)) {
   q_cur_.reserve(s_ + 1);
   q_next_.reserve(s_ + 1);
 }
 
-void P3SamplingWoR::OnForward(size_t site, const sketch::PriorityEntry&) {
-  network_.RecordElement(site);
-}
-
-void P3SamplingWoR::Process(size_t site, uint64_t element, double weight) {
-  SiteUpdate(site, element, weight);
-  DrainSite(site);  // only this site can have queued anything
-}
-
-void P3SamplingWoR::SiteUpdate(size_t site, uint64_t element,
-                               double weight) {
+void P3SamplingWoR::SiteStep(size_t site, uint64_t element, double weight) {
   DMT_CHECK_LT(site, site_rngs_.size());
   DMT_CHECK_GT(weight, 0.0);
   sketch::PriorityEntry e{element, weight,
                           weight / site_rngs_[site].NextDoublePositive()};
-  // tau_ only moves at Synchronize(); within a round every site compares
+  // tau_ only moves at a drain; within a round every site compares
   // against the threshold of the last broadcast, exactly like a real site
   // that has not yet seen the next one.
   if (e.priority < tau_) return;  // not sampled; no message
-  OnForward(site, e);
-  outbox_[site].push_back(e);
+  Emit(site, e);
 }
 
-void P3SamplingWoR::DrainSite(size_t site) {
-  for (const sketch::PriorityEntry& e : outbox_[site]) {
-    // A message can arrive after tau doubled past it (sent before the
-    // broadcast of this round reached the site). The coordinator drops
-    // it: the pool invariant is "items with priority >= current tau".
-    if (e.priority < tau_) continue;
-    if (e.priority >= 2.0 * tau_) {
-      q_next_.push_back(e);
-      EndRoundIfNeeded();
-    } else {
-      q_cur_.push_back(e);
-    }
+void P3SamplingWoR::Apply(size_t, const sketch::PriorityEntry& e) {
+  // A message can arrive after tau doubled past it (sent before the
+  // broadcast of this round reached the site). The coordinator drops
+  // it: the pool invariant is "items with priority >= current tau".
+  if (e.priority < tau_) return;
+  if (e.priority >= 2.0 * tau_) {
+    q_next_.push_back(e);
+    EndRoundIfNeeded();
+  } else {
+    q_cur_.push_back(e);
   }
-  outbox_[site].clear();
-}
-
-void P3SamplingWoR::Synchronize() {
-  for (size_t s = 0; s < outbox_.size(); ++s) DrainSite(s);
-}
-
-void P3SamplingWoR::SynchronizeSites(const uint32_t* sites, size_t count) {
-  for (size_t i = 0; i < count; ++i) DrainSite(sites[i]);
 }
 
 void P3SamplingWoR::EndRoundIfNeeded() {
   while (q_next_.size() >= s_) {
     tau_ *= 2.0;
     tau_ever_doubled_ = true;
-    network_.RecordBroadcast();
-    network_.RecordRound();
+    Broadcast();
     // Q_cur is discarded; Q_next is re-partitioned against the new tau.
     q_cur_.clear();
     std::vector<sketch::PriorityEntry> promoted;
@@ -117,10 +93,6 @@ double P3SamplingWoR::EstimateTotalWeight() const {
   return sum;
 }
 
-const stream::CommStats& P3SamplingWoR::comm_stats() const {
-  return network_.stats();
-}
-
 std::vector<uint64_t> P3SamplingWoR::TrackedElements() const {
   std::unordered_set<uint64_t> seen;
   for (const auto& e : q_cur_) seen.insert(e.element);
@@ -134,19 +106,13 @@ std::vector<uint64_t> P3SamplingWoR::TrackedElements() const {
 
 P3SamplingWR::P3SamplingWR(size_t num_sites, double eps, uint64_t seed,
                            size_t sample_size)
-    : s_(sample_size != 0 ? sample_size : SampleSizeForEpsilon(eps)),
-      network_(num_sites),
+    : HHProtocolCore(num_sites),
+      s_(sample_size != 0 ? sample_size : SampleSizeForEpsilon(eps)),
       site_rngs_(MakeSiteRngs(num_sites, seed)),
       slots_(s_),
-      slots_below_2tau_(s_),
-      outbox_(num_sites) {}
+      slots_below_2tau_(s_) {}
 
-void P3SamplingWR::Process(size_t site, uint64_t element, double weight) {
-  SiteUpdate(site, element, weight);
-  DrainSite(site);  // only this site can have queued anything
-}
-
-void P3SamplingWR::SiteUpdate(size_t site, uint64_t element, double weight) {
+void P3SamplingWR::SiteStep(size_t site, uint64_t element, double weight) {
   DMT_CHECK_LT(site, site_rngs_.size());
   DMT_CHECK_GT(weight, 0.0);
   Rng& rng = site_rngs_[site];
@@ -163,12 +129,11 @@ void P3SamplingWR::SiteUpdate(size_t site, uint64_t element, double weight) {
     t = static_cast<size_t>(std::log(rng.NextDoublePositive()) /
                             std::log(1.0 - p));
   }
-  PendingSends sends{element, weight, {}};
+  P3Sends sends{element, weight, {}};
   while (t < s_) {
     // Priority conditioned on success: u ~ Unif(0, min(1, w/tau)].
     const double u = rng.NextDoublePositive() * p;
     sends.hits.emplace_back(t, weight / u);
-    network_.RecordElement(site);
     if (p >= 1.0) {
       ++t;
     } else {
@@ -176,7 +141,7 @@ void P3SamplingWR::SiteUpdate(size_t site, uint64_t element, double weight) {
                                    std::log(1.0 - p));
     }
   }
-  if (!sends.hits.empty()) outbox_[site].push_back(std::move(sends));
+  if (!sends.hits.empty()) Emit(site, std::move(sends));
 }
 
 void P3SamplingWR::ApplySlotUpdate(size_t t, uint64_t element, double weight,
@@ -197,31 +162,19 @@ void P3SamplingWR::ApplySlotUpdate(size_t t, uint64_t element, double weight,
   }
 }
 
-void P3SamplingWR::DrainSite(size_t site) {
-  for (const PendingSends& sends : outbox_[site]) {
-    for (const auto& [t, rho] : sends.hits) {
-      ApplySlotUpdate(t, sends.element, sends.weight, rho);
-    }
-    // One round check per element, matching the per-element serial
-    // schedule (a batch of hits for one element ends with one check).
-    EndRoundIfNeeded();
+void P3SamplingWR::Apply(size_t, const P3Sends& sends) {
+  for (const auto& [t, rho] : sends.hits) {
+    ApplySlotUpdate(t, sends.element, sends.weight, rho);
   }
-  outbox_[site].clear();
-}
-
-void P3SamplingWR::Synchronize() {
-  for (size_t s = 0; s < outbox_.size(); ++s) DrainSite(s);
-}
-
-void P3SamplingWR::SynchronizeSites(const uint32_t* sites, size_t count) {
-  for (size_t i = 0; i < count; ++i) DrainSite(sites[i]);
+  // One round check per element, matching the per-element serial
+  // schedule (a batch of hits for one element ends with one check).
+  EndRoundIfNeeded();
 }
 
 void P3SamplingWR::EndRoundIfNeeded() {
   while (slots_below_2tau_ == 0) {
     tau_ *= 2.0;
-    network_.RecordBroadcast();
-    network_.RecordRound();
+    Broadcast();
     slots_below_2tau_ = 0;
     for (const Slot& slot : slots_) {
       if (slot.second_priority <= 2.0 * tau_) ++slots_below_2tau_;
@@ -254,10 +207,6 @@ double P3SamplingWR::EstimateElementWeight(uint64_t element) const {
   }
   if (live == 0) return 0.0;
   return what * static_cast<double>(hits) / static_cast<double>(live);
-}
-
-const stream::CommStats& P3SamplingWR::comm_stats() const {
-  return network_.stats();
 }
 
 std::vector<uint64_t> P3SamplingWR::TrackedElements() const {

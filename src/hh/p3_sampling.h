@@ -27,7 +27,6 @@
 
 #include "hh/hh_protocol.h"
 #include "sketch/priority_sampler.h"
-#include "stream/network.h"
 #include "util/rng.h"
 
 namespace dmt {
@@ -37,27 +36,15 @@ namespace hh {
 size_t SampleSizeForEpsilon(double eps);
 
 /// Without-replacement sampling protocol (P3wor).
-class P3SamplingWoR : public HeavyHitterProtocol {
+class P3SamplingWoR
+    : public HHProtocolCore<P3SamplingWoR, sketch::PriorityEntry> {
  public:
   /// `sample_size` = 0 derives s from eps via SampleSizeForEpsilon.
   P3SamplingWoR(size_t num_sites, double eps, uint64_t seed,
                 size_t sample_size = 0);
 
-  void Process(size_t site, uint64_t element, double weight) override;
-  void SiteUpdate(size_t site, uint64_t element, double weight) override;
-  void Synchronize() override;
-  void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
-  size_t PendingOutboxSize(size_t site) const override {
-    return outbox_[site].size();
-  }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   double EstimateElementWeight(uint64_t element) const override;
   double EstimateTotalWeight() const override;
-  const stream::CommStats& comm_stats() const override;
-  std::vector<uint64_t> per_site_messages() const override {
-    return network_.per_site_up();
-  }
   std::string name() const override { return "P3wor"; }
   std::vector<uint64_t> TrackedElements() const override;
 
@@ -65,15 +52,20 @@ class P3SamplingWoR : public HeavyHitterProtocol {
   double threshold() const { return tau_; }
   size_t pool_size() const { return q_cur_.size() + q_next_.size(); }
 
- protected:
+ private:
+  friend Core;
+
+  // One forwarded item is one (element, weight) message.
+  static stream::MessageCost Cost(const sketch::PriorityEntry&) {
+    return stream::MessageCost{0, 1, 0};
+  }
+  void SiteStep(size_t site, uint64_t element, double weight);
+  void Apply(size_t site, const sketch::PriorityEntry& e);
+  void EndRoundIfNeeded();
   /// Current adjusted sample (exact weights while still in round 1).
   std::vector<sketch::PriorityEntry> CurrentSample() const;
 
-  /// Hook for the matrix variant: called when an item is forwarded.
-  virtual void OnForward(size_t site, const sketch::PriorityEntry& entry);
-
   size_t s_;
-  stream::Network network_;
   // One private generator per site (seed = base ⊕ site), so sites draw
   // priorities independently and may run on concurrent threads.
   std::vector<Rng> site_rngs_;
@@ -81,70 +73,53 @@ class P3SamplingWoR : public HeavyHitterProtocol {
   bool tau_ever_doubled_ = false;
   std::vector<sketch::PriorityEntry> q_cur_;
   std::vector<sketch::PriorityEntry> q_next_;
-  // Forwarded items awaiting coordinator bucketing (per-site, FIFO).
-  std::vector<std::vector<sketch::PriorityEntry>> outbox_;
+};
 
- private:
-  /// Delivers one site's queued forwards in emission order.
-  void DrainSite(size_t site);
-  void EndRoundIfNeeded();
+/// All P3wr sampler successes one element scored at one site: (slot
+/// index, priority) pairs, one message each, delivered as one batch so
+/// round accounting matches the per-element serial schedule.
+struct P3Sends {
+  uint64_t element;
+  double weight;
+  std::vector<std::pair<size_t, double>> hits;
 };
 
 /// With-replacement sampling protocol (P3wr).
-class P3SamplingWR : public HeavyHitterProtocol {
+class P3SamplingWR : public HHProtocolCore<P3SamplingWR, P3Sends> {
  public:
   P3SamplingWR(size_t num_sites, double eps, uint64_t seed,
                size_t sample_size = 0);
 
-  void Process(size_t site, uint64_t element, double weight) override;
-  void SiteUpdate(size_t site, uint64_t element, double weight) override;
-  void Synchronize() override;
-  void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
-  size_t PendingOutboxSize(size_t site) const override {
-    return outbox_[site].size();
-  }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   double EstimateElementWeight(uint64_t element) const override;
   double EstimateTotalWeight() const override;
-  const stream::CommStats& comm_stats() const override;
-  std::vector<uint64_t> per_site_messages() const override {
-    return network_.per_site_up();
-  }
   std::string name() const override { return "P3wr"; }
   std::vector<uint64_t> TrackedElements() const override;
 
   size_t sample_size() const { return s_; }
 
  private:
+  friend Core;
+
   struct Slot {
     sketch::PriorityEntry top;
     double second_priority = 0.0;
   };
 
-  /// All sampler successes one element scored at one site: (slot index,
-  /// priority) pairs, delivered to the coordinator as one batch so round
-  /// accounting matches the per-element serial schedule.
-  struct PendingSends {
-    uint64_t element;
-    double weight;
-    std::vector<std::pair<size_t, double>> hits;
-  };
-
+  static stream::MessageCost Cost(const P3Sends& sends) {
+    return stream::MessageCost{0, sends.hits.size(), 0};
+  }
+  void SiteStep(size_t site, uint64_t element, double weight);
+  void Apply(size_t site, const P3Sends& sends);
   void ApplySlotUpdate(size_t t, uint64_t element, double weight,
                        double rho);
-  /// Delivers one site's queued sampler successes in emission order.
-  void DrainSite(size_t site);
   void EndRoundIfNeeded();
 
   size_t s_;
-  stream::Network network_;
   // One private generator per site (seed = base ⊕ site); see P3SamplingWoR.
   std::vector<Rng> site_rngs_;
   double tau_ = 1.0;
   std::vector<Slot> slots_;
   size_t slots_below_2tau_ = 0;  // count of slots with second <= 2 tau
-  std::vector<std::vector<PendingSends>> outbox_;  // per-site, FIFO
 };
 
 }  // namespace hh

@@ -12,12 +12,11 @@ namespace hh {
 
 P4Randomized::P4Randomized(size_t num_sites, double eps, uint64_t seed,
                            size_t copies)
-    : eps_(eps),
-      network_(num_sites),
+    : HHProtocolCore(num_sites),
+      eps_(eps),
       site_rngs_(MakeSiteRngs(num_sites, seed)),
-      weight_tracker_(&network_),
+      weight_tracker_(num_sites),
       site_tally_(num_sites),
-      outbox_(num_sites),
       reported_(std::max<size_t>(copies, 1)) {
   DMT_CHECK_GT(eps, 0.0);
   DMT_CHECK_LE(eps, 1.0);
@@ -26,73 +25,39 @@ P4Randomized::P4Randomized(size_t num_sites, double eps, uint64_t seed,
 double P4Randomized::CurrentP() const {
   const double what = weight_tracker_.EstimateAtSites();
   if (what <= 0.0) return std::numeric_limits<double>::infinity();
-  const double m = static_cast<double>(network_.num_sites());
+  const double m = static_cast<double>(num_sites());
   return 2.0 * std::sqrt(m) / (eps_ * what);
 }
 
-void P4Randomized::EmitSends(size_t site, uint64_t element, double weight,
-                             double tally,
-                             std::vector<PendingReport>* sink) {
+void P4Randomized::SiteStep(size_t site, uint64_t element, double weight) {
+  DMT_CHECK_LT(site, site_tally_.size());
+  DMT_CHECK_GT(weight, 0.0);
+  // On the serial path this report lands at the coordinator at once, so a
+  // broadcast it triggers already lowers the send probability for this
+  // very arrival; in a window the site keeps the last broadcast W-hat.
+  const double amount = weight_tracker_.SitePendingReport(site, weight);
+  if (amount > 0.0) Emit(site, P4Report{true, amount, 0, 0});
+
+  double& tally = site_tally_[site][element];
+  tally += weight;
   const double p = CurrentP();
   const double send_prob =
       std::isinf(p) ? 1.0 : 1.0 - std::exp(-p * weight);
   // Each copy flips its own coin (all from the site's private generator);
-  // every success is one message.
+  // every success ships the site's full exact tally as one message.
   for (size_t c = 0; c < reported_.size(); ++c) {
     if (site_rngs_[site].NextDouble() < send_prob) {
-      network_.RecordElement(site);
-      if (sink != nullptr) {
-        sink->push_back(PendingReport{false, tally, c, element, site});
-      } else {
-        reported_[c][element][site] = tally;
-      }
+      Emit(site, P4Report{false, tally, c, element});
     }
   }
 }
 
-void P4Randomized::Process(size_t site, uint64_t element, double weight) {
-  DMT_CHECK_LT(site, site_tally_.size());
-  DMT_CHECK_GT(weight, 0.0);
-  // Serial path: the weight report lands at the coordinator immediately,
-  // so a broadcast it triggers already lowers the send probability for
-  // this very arrival — the historical behavior.
-  weight_tracker_.Observe(site, weight);
-
-  double& tally = site_tally_[site][element];
-  tally += weight;
-  EmitSends(site, element, weight, tally, /*sink=*/nullptr);
-}
-
-void P4Randomized::SiteUpdate(size_t site, uint64_t element, double weight) {
-  DMT_CHECK_LT(site, site_tally_.size());
-  DMT_CHECK_GT(weight, 0.0);
-  const double amount = weight_tracker_.SitePendingReport(site, weight);
-  if (amount > 0.0) {
-    outbox_[site].push_back(PendingReport{true, amount, 0, 0, site});
+void P4Randomized::Apply(size_t site, const P4Report& r) {
+  if (!r.is_weight_report) {
+    reported_[r.copy][r.element][site] = r.value;
+  } else if (weight_tracker_.ApplyReport(r.value)) {
+    Broadcast();
   }
-
-  double& tally = site_tally_[site][element];
-  tally += weight;
-  EmitSends(site, element, weight, tally, &outbox_[site]);
-}
-
-void P4Randomized::DrainSite(size_t site) {
-  for (const PendingReport& r : outbox_[site]) {
-    if (r.is_weight_report) {
-      weight_tracker_.ApplyReport(r.value);
-    } else {
-      reported_[r.copy][r.element][r.site] = r.value;
-    }
-  }
-  outbox_[site].clear();
-}
-
-void P4Randomized::Synchronize() {
-  for (size_t s = 0; s < outbox_.size(); ++s) DrainSite(s);
-}
-
-void P4Randomized::SynchronizeSites(const uint32_t* sites, size_t count) {
-  for (size_t i = 0; i < count; ++i) DrainSite(sites[i]);
 }
 
 double P4Randomized::CopyEstimate(size_t copy, uint64_t element) const {
@@ -123,10 +88,6 @@ double P4Randomized::EstimateElementWeight(uint64_t element) const {
 
 double P4Randomized::EstimateTotalWeight() const {
   return weight_tracker_.coordinator_weight();
-}
-
-const stream::CommStats& P4Randomized::comm_stats() const {
-  return network_.stats();
 }
 
 std::vector<uint64_t> P4Randomized::TrackedElements() const {

@@ -22,11 +22,20 @@
 
 #include "hh/hh_protocol.h"
 #include "hh/total_weight.h"
-#include "stream/network.h"
 #include "util/rng.h"
 
 namespace dmt {
 namespace hh {
+
+/// One P4 site->coordinator message: either a total-weight report
+/// (`value` = the reported amount) or a tally refresh for (copy, element):
+/// `value` = the site's exact local tally.
+struct P4Report {
+  bool is_weight_report;
+  double value;
+  size_t copy;
+  uint64_t element;
+};
 
 /// Randomized sqrt(m) protocol (P4).
 ///
@@ -35,67 +44,40 @@ namespace hh {
 /// estimate — the paper's remark after Theorem 3: log(2/delta) copies
 /// boost the 0.75 success probability to 1 - delta, at proportionally
 /// more communication.
-class P4Randomized : public HeavyHitterProtocol {
+class P4Randomized : public HHProtocolCore<P4Randomized, P4Report> {
  public:
   P4Randomized(size_t num_sites, double eps, uint64_t seed,
                size_t copies = 1);
 
-  void Process(size_t site, uint64_t element, double weight) override;
-  void SiteUpdate(size_t site, uint64_t element, double weight) override;
-  void Synchronize() override;
-  void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
-  size_t PendingOutboxSize(size_t site) const override {
-    return outbox_[site].size();
-  }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   double EstimateElementWeight(uint64_t element) const override;
   double EstimateTotalWeight() const override;
-  const stream::CommStats& comm_stats() const override;
-  std::vector<uint64_t> per_site_messages() const override {
-    return network_.per_site_up();
-  }
   std::string name() const override { return "P4"; }
   std::vector<uint64_t> TrackedElements() const override;
 
  private:
-  /// One queued site->coordinator message: either a total-weight report
-  /// (amount) or a tally refresh for (copy, element, site).
-  struct PendingReport {
-    bool is_weight_report;
-    double value;    // reported weight, or the tally being refreshed
-    size_t copy;
-    uint64_t element;
-    size_t site;
-  };
+  friend Core;
+
+  static stream::MessageCost Cost(const P4Report& r) {
+    return r.is_weight_report ? stream::MessageCost{1, 0, 0}
+                              : stream::MessageCost{0, 1, 0};
+  }
+  void SiteStep(size_t site, uint64_t element, double weight);
+  void Apply(size_t site, const P4Report& r);
 
   /// Current send probability parameter p = 2 sqrt(m) / (eps W-hat);
   /// infinite (send always) before bootstrap.
   double CurrentP() const;
 
-  /// Flips the per-copy coins for one arrival (success probability
-  /// 1 - exp(-p * weight)) with the site's generator, recording messages.
-  /// A success ships the site's full exact tally for `element`: queued
-  /// into `sink` if given, else applied to the coordinator immediately
-  /// (serial path).
-  void EmitSends(size_t site, uint64_t element, double weight, double tally,
-                 std::vector<PendingReport>* sink);
-
-  /// Delivers one site's queued reports in emission order.
-  void DrainSite(size_t site);
-
   /// Estimate of one independent copy.
   double CopyEstimate(size_t copy, uint64_t element) const;
 
   double eps_;
-  stream::Network network_;
   // One private generator per site (seed = base ⊕ site): all copies'
   // coins for a site flip from that site's stream.
   std::vector<Rng> site_rngs_;
   TotalWeightTracker weight_tracker_;
   // Per-site exact local tallies f_e(A_j), shared by all copies.
   std::vector<std::unordered_map<uint64_t, double>> site_tally_;
-  std::vector<std::vector<PendingReport>> outbox_;  // per-site, FIFO
   // Per-copy coordinator state: last reported tally w-bar_{e,j} per
   // element per site. The inner per-site map is ordered: CopyEstimate sums
   // its values in iteration order, and that floating-point reduction must

@@ -5,8 +5,8 @@
 namespace dmt {
 namespace hh {
 
-TotalWeightTracker::TotalWeightTracker(stream::Network* network)
-    : network_(network), unreported_(network->num_sites(), 0.0) {}
+TotalWeightTracker::TotalWeightTracker(size_t num_sites)
+    : unreported_(num_sites, 0.0) {}
 
 double TotalWeightTracker::SitePendingReport(size_t site, double weight) {
   DMT_CHECK_LT(site, unreported_.size());
@@ -20,7 +20,6 @@ double TotalWeightTracker::SitePendingReport(size_t site, double weight) {
   if (unreported_[site] < report_threshold || unreported_[site] == 0.0) {
     return 0.0;
   }
-  network_->RecordScalar(site);
   const double amount = unreported_[site];
   unreported_[site] = 0.0;
   return amount;
@@ -32,17 +31,9 @@ bool TotalWeightTracker::ApplyReport(double amount) {
   if (broadcast_estimate_ == 0.0 ||
       coordinator_weight_ >= 1.5 * broadcast_estimate_) {
     broadcast_estimate_ = coordinator_weight_;
-    network_->RecordBroadcast();
-    network_->RecordRound();
     return true;
   }
   return false;
-}
-
-bool TotalWeightTracker::Observe(size_t site, double weight) {
-  const double amount = SitePendingReport(site, weight);
-  if (amount <= 0.0) return false;
-  return ApplyReport(amount);
 }
 
 }  // namespace hh

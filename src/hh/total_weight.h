@@ -10,37 +10,30 @@
 //
 // The site half (SitePendingReport) and coordinator half (ApplyReport) are
 // split so owning protocols can defer delivery to a synchronization round:
-// SitePendingReport touches only per-site state plus the site's network
-// shard and the (stable-between-rounds) broadcast estimate, so it may run
-// concurrently for distinct sites.
+// SitePendingReport touches only per-site state and the
+// (stable-between-rounds) broadcast estimate, so it may run concurrently
+// for distinct sites. The tracker counts no messages: the owner ships the
+// reported amount as its own scalar message and counts the broadcast
+// ApplyReport signals.
 #ifndef DMT_HH_TOTAL_WEIGHT_H_
 #define DMT_HH_TOTAL_WEIGHT_H_
 
 #include <cstddef>
 #include <vector>
 
-#include "stream/network.h"
 
 namespace dmt {
 namespace hh {
 
-/// Coordinator+sites total-weight tracker with counted messages.
+/// Coordinator+sites total-weight tracker.
 class TotalWeightTracker {
  public:
-  /// `network` must outlive the tracker and is shared with the owning
-  /// protocol (messages are tallied there).
-  explicit TotalWeightTracker(stream::Network* network);
-
-  /// Site `site` observed `weight` more stream mass. Returns true if the
-  /// global estimate changed (i.e. a broadcast happened). Serial path:
-  /// equivalent to SitePendingReport + immediate ApplyReport.
-  bool Observe(size_t site, double weight);
+  explicit TotalWeightTracker(size_t num_sites);
 
   /// Site half: folds `weight` into the site's unreported mass; when the
-  /// report threshold crosses, records the scalar message and returns the
-  /// reported amount (the site resets). Returns 0.0 when no report fires.
-  /// Safe to call concurrently for distinct sites between ApplyReport
-  /// batches.
+  /// report threshold crosses, returns the amount to report (the site
+  /// resets). Returns 0.0 when no report fires. Safe to call concurrently
+  /// for distinct sites between ApplyReport batches.
   double SitePendingReport(size_t site, double weight);
 
   /// Coordinator half: folds a reported amount into the exact tally and
@@ -55,7 +48,6 @@ class TotalWeightTracker {
   double coordinator_weight() const { return coordinator_weight_; }
 
  private:
-  stream::Network* network_;
   std::vector<double> unreported_;  // per-site weight since last report
   double coordinator_weight_ = 0.0;
   double broadcast_estimate_ = 0.0;

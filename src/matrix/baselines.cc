@@ -8,86 +8,30 @@ namespace dmt {
 namespace matrix {
 
 NaiveFdBaseline::NaiveFdBaseline(size_t num_sites, size_t ell)
-    : network_(num_sites), outbox_(num_sites), fd_(ell) {}
+    : ForwardAllRows(num_sites), fd_(ell) {}
 
 void NaiveFdBaseline::ProcessRow(size_t site,
                                  const std::vector<double>& row) {
-  network_.RecordVector(site);
-  fd_.Append(row);
+  SerialStep(site, row);  // counts the row; Apply stages it
+  fd_.Append(window_rows_.Row(0), window_rows_.cols());
+  window_rows_.ClearRows();
 }
 
-void NaiveFdBaseline::SiteUpdate(size_t site, const std::vector<double>& row) {
-  network_.RecordVector(site);
-  outbox_[site].push_back(row);
-}
-
-void NaiveFdBaseline::Synchronize() {
-  // Batch each site's queued rows through the FD bulk path: one shrink
-  // per buffer fill instead of one per ell appended rows.
-  linalg::Matrix batch;
-  for (auto& site_outbox : outbox_) {
-    for (const auto& row : site_outbox) batch.AppendRow(row);
-    site_outbox.clear();
-  }
-  fd_.AppendRows(batch);
-}
-
-void NaiveFdBaseline::SynchronizeSites(const uint32_t* sites, size_t count) {
-  // Sites absent from the list have empty outboxes, so this builds the
-  // same ascending-site batch as the full scan.
-  linalg::Matrix batch;
-  for (size_t i = 0; i < count; ++i) {
-    auto& site_outbox = outbox_[sites[i]];
-    for (const auto& row : site_outbox) batch.AppendRow(row);
-    site_outbox.clear();
-  }
-  fd_.AppendRows(batch);
+void NaiveFdBaseline::EndWindow() {
+  fd_.AppendRows(window_rows_);
+  window_rows_.ClearRows();
 }
 
 linalg::Matrix NaiveFdBaseline::CoordinatorSketch() const {
   return fd_.sketch();
 }
 
-const stream::CommStats& NaiveFdBaseline::comm_stats() const {
-  return network_.stats();
-}
-
 NaiveSvdBaseline::NaiveSvdBaseline(size_t num_sites, size_t dim, size_t k)
-    : k_(k), network_(num_sites), outbox_(num_sites), cov_(dim) {}
+    : ForwardAllRows(num_sites), k_(k), cov_(dim) {}
 
-void NaiveSvdBaseline::ProcessRow(size_t site,
-                                  const std::vector<double>& row) {
-  network_.RecordVector(site);
-  cov_.AddRow(row);
-}
-
-void NaiveSvdBaseline::SiteUpdate(size_t site,
-                                  const std::vector<double>& row) {
-  network_.RecordVector(site);
-  outbox_[site].push_back(row);
-}
-
-void NaiveSvdBaseline::Synchronize() {
-  // One blocked Gram accumulation over the round's rows instead of a
-  // rank-1 sweep per row.
-  linalg::Matrix batch;
-  for (auto& site_outbox : outbox_) {
-    for (const auto& row : site_outbox) batch.AppendRow(row);
-    site_outbox.clear();
-  }
-  cov_.AddRows(batch);
-}
-
-void NaiveSvdBaseline::SynchronizeSites(const uint32_t* sites, size_t count) {
-  // Same ascending-site batch as the full scan (unlisted outboxes are
-  // empty by the driver's contract).
-  linalg::Matrix batch;
-  for (size_t i = 0; i < count; ++i) {
-    auto& site_outbox = outbox_[sites[i]];
-    for (const auto& row : site_outbox) batch.AppendRow(row);
-    site_outbox.clear();
-  }
-  cov_.AddRows(batch);
+void NaiveSvdBaseline::EndWindow() {
+  cov_.AddRows(window_rows_);
+  window_rows_.ClearRows();
 }
 
 linalg::Matrix NaiveSvdBaseline::CoordinatorSketch() const {
@@ -105,10 +49,6 @@ linalg::Matrix NaiveSvdBaseline::CoordinatorSketch() const {
 
 linalg::Matrix NaiveSvdBaseline::CoordinatorGram() const {
   return CoordinatorSketch().Gram();
-}
-
-const stream::CommStats& NaiveSvdBaseline::comm_stats() const {
-  return network_.stats();
 }
 
 }  // namespace matrix

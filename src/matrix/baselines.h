@@ -11,68 +11,75 @@
 #include "matrix/error.h"
 #include "matrix/matrix_protocol.h"
 #include "sketch/frequent_directions.h"
-#include "stream/network.h"
 
 namespace dmt {
 namespace matrix {
 
+/// Shared by both baselines: every row travels to the coordinator as one
+/// vector message, and each window's rows are folded in as one block.
+template <typename Derived>
+class ForwardAllRows
+    : public MatrixProtocolCore<Derived, std::vector<double>> {
+ protected:
+  using MatrixProtocolCore<Derived, std::vector<double>>::MatrixProtocolCore;
+
+  static stream::MessageCost Cost(const std::vector<double>&) {
+    return stream::MessageCost{0, 0, 1};
+  }
+  void SiteStep(size_t site, const std::vector<double>& row) {
+    this->Emit(site, row);
+  }
+  void Apply(size_t, const std::vector<double>& row) {
+    window_rows_.AppendRow(row);
+  }
+
+  linalg::Matrix window_rows_;  // rows delivered since the last fold
+};
+
 /// Sends all rows; the coordinator runs a single Frequent Directions sketch
 /// with `ell` rows (the paper uses ell = k, the target rank).
-class NaiveFdBaseline : public MatrixTrackingProtocol {
+class NaiveFdBaseline : public ForwardAllRows<NaiveFdBaseline> {
  public:
   NaiveFdBaseline(size_t num_sites, size_t ell);
 
+  /// The serial path appends the row through FD's streaming Append, not
+  /// the end-of-window bulk AppendRows: a one-row bulk append that
+  /// reaches 2*ell rows shrinks with the row read in place, which rounds
+  /// differently from appending it to the buffer first.
   void ProcessRow(size_t site, const std::vector<double>& row) override;
-  void SiteUpdate(size_t site, const std::vector<double>& row) override;
-  void Synchronize() override;
-  void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
-  size_t PendingOutboxSize(size_t site) const override {
-    return outbox_[site].size();
-  }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   linalg::Matrix CoordinatorSketch() const override;
-  const stream::CommStats& comm_stats() const override;
-  std::vector<uint64_t> per_site_messages() const override {
-    return network_.per_site_up();
-  }
   std::string name() const override { return "FD"; }
 
  private:
-  stream::Network network_;
-  std::vector<std::vector<std::vector<double>>> outbox_;  // per-site rows
+  friend Core;
+
+  // One bulk append per window: one shrink per buffer fill instead of one
+  // per ell appended rows.
+  void EndWindow();
+
   sketch::FrequentDirections fd_;
 };
 
 /// Sends all rows; the coordinator keeps the exact covariance and answers
 /// with the best rank-k approximation (optimal, non-streaming reference).
-class NaiveSvdBaseline : public MatrixTrackingProtocol {
+class NaiveSvdBaseline : public ForwardAllRows<NaiveSvdBaseline> {
  public:
   NaiveSvdBaseline(size_t num_sites, size_t dim, size_t k);
 
-  void ProcessRow(size_t site, const std::vector<double>& row) override;
-  void SiteUpdate(size_t site, const std::vector<double>& row) override;
-  void Synchronize() override;
-  void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
-  size_t PendingOutboxSize(size_t site) const override {
-    return outbox_[site].size();
-  }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   /// Rows sqrt(lambda_i) v_i^T for the top-k eigenpairs of A^T A: the
   /// unique B with B^T B = (A_k)^T A_k.
   linalg::Matrix CoordinatorSketch() const override;
   linalg::Matrix CoordinatorGram() const override;
-  const stream::CommStats& comm_stats() const override;
-  std::vector<uint64_t> per_site_messages() const override {
-    return network_.per_site_up();
-  }
   std::string name() const override { return "SVD"; }
 
  private:
+  friend Core;
+
+  // One blocked Gram accumulation per window instead of a rank-1 sweep
+  // per row.
+  void EndWindow();
+
   size_t k_;
-  stream::Network network_;
-  std::vector<std::vector<std::vector<double>>> outbox_;  // per-site rows
   CovarianceTracker cov_;
 };
 

@@ -10,6 +10,7 @@
 
 #include "linalg/matrix.h"
 #include "stream/comm_stats.h"
+#include "stream/protocol_core.h"
 
 namespace dmt {
 namespace matrix {
@@ -44,8 +45,8 @@ class MatrixTrackingProtocol {
   virtual void ProcessRow(size_t site, const std::vector<double>& row) = 0;
 
   /// Site-local half of ProcessRow(): updates only state owned by `site`
-  /// (including that site's network shard) and queues outgoing messages in
-  /// a per-site outbox for the next Synchronize(). When
+  /// and queues outgoing messages in a per-site outbox for the next
+  /// Synchronize(). When
   /// SupportsConcurrentSiteUpdates() is true, calls for *distinct* sites
   /// may run concurrently between two Synchronize() calls; calls for the
   /// same site must stay on one thread. Default: serial ProcessRow()
@@ -126,6 +127,26 @@ class MatrixTrackingProtocol {
 
   /// Short display name (e.g. "P2").
   virtual std::string name() const = 0;
+};
+
+/// Base of the matrix protocols built on the message core
+/// (stream/protocol_core.h): binds ProcessRow() and SiteUpdate() to
+/// Derived::SiteStep(site, row).
+template <typename Derived, typename Msg, typename Outbox = std::vector<Msg>>
+class MatrixProtocolCore
+    : public stream::ProtocolCore<Derived, MatrixTrackingProtocol, Msg,
+                                  Outbox> {
+ public:
+  void ProcessRow(size_t site, const std::vector<double>& row) override {
+    this->RunSerial(site, row);
+  }
+  void SiteUpdate(size_t site, const std::vector<double>& row) override {
+    this->RunSite(site, row);
+  }
+
+ protected:
+  using stream::ProtocolCore<Derived, MatrixTrackingProtocol, Msg,
+                             Outbox>::ProtocolCore;
 };
 
 }  // namespace matrix

@@ -7,9 +7,27 @@
 namespace dmt {
 namespace matrix {
 
+void MP1FlushOutbox::push_back(const MP1Flush& f) {
+  if (f.count > 0) rows_.AppendRows(f.rows, f.count, f.cols);
+  ends_.push_back(rows_.rows());
+  frobs_.push_back(f.frob);
+}
+
+MP1Flush MP1FlushOutbox::operator[](size_t i) const {
+  const size_t begin = i == 0 ? 0 : ends_[i - 1];
+  return MP1Flush{rows_.Row(begin), ends_[i] - begin, rows_.cols(),
+                  frobs_[i]};
+}
+
+void MP1FlushOutbox::clear() {
+  rows_.ClearRows();
+  ends_.clear();
+  frobs_.clear();
+}
+
 MP1BatchedFD::MP1BatchedFD(size_t num_sites, double eps)
-    : eps_(eps),
-      network_(num_sites),
+    : MatrixProtocolCore(num_sites),
+      eps_(eps),
       coordinator_sketch_(sketch::FrequentDirections::WithEpsilon(eps / 2)) {
   DMT_CHECK_GT(eps, 0.0);
   DMT_CHECK_LE(eps, 1.0);
@@ -20,69 +38,51 @@ MP1BatchedFD::MP1BatchedFD(size_t num_sites, double eps)
   }
   site_frob_.assign(num_sites, 0.0);
   site_fest_.assign(num_sites, 0.0);
-  outbox_.resize(num_sites);
 }
 
 void MP1BatchedFD::ProcessRow(size_t site, const std::vector<double>& row) {
-  SiteUpdate(site, row);
-  DrainSite(site);  // only this site can have queued anything
-  // No final Compress(): the facade drains after every row, and a shrink
-  // per flush would cost more than the row budget it buys.
+  SerialStep(site, row);
   FoldDrainedRows();
 }
 
-void MP1BatchedFD::SiteUpdate(size_t site, const std::vector<double>& row) {
+void MP1BatchedFD::SiteStep(size_t site, const std::vector<double>& row) {
   DMT_CHECK_LT(site, site_sketches_.size());
   const double mass = linalg::SquaredNorm(row);
   // A zero row changes neither A^T A nor any F_i, but with tau = 0 (no
   // broadcast seen yet) it would still flush and re-broadcast F-hat = 0.
   if (mass == 0.0) return;
-  site_sketches_[site].Append(row);
+  sketch::FrequentDirections& sk = site_sketches_[site];
+  sk.Append(row);
   site_frob_[site] += mass;
 
-  const double m = static_cast<double>(network_.num_sites());
+  const double m = static_cast<double>(num_sites());
   // site_fest_ is the F-hat of the last broadcast the site has seen; it
-  // only changes in Synchronize(), so this read is round-stable.
+  // only changes at a drain, so this read is round-stable.
   const double tau = (eps_ / (2.0 * m)) * site_fest_[site];
-  if (site_frob_[site] >= tau) EmitFlush(site);
-}
-
-void MP1BatchedFD::EmitFlush(size_t site) {
-  sketch::FrequentDirections& sk = site_sketches_[site];
-  // Each sketch row travels as one vector message; the scalar F_i
-  // piggybacks on the batch (the paper's Algorithm 5.1 sends "(B_i, F_i)"
-  // as one payload of |B_i| rows). An empty sketch still costs the scalar.
-  for (size_t r = 0; r < sk.rows(); ++r) network_.RecordVector(site);
-  if (sk.rows() == 0) network_.RecordScalar(site);
-
-  Outbox& out = outbox_[site];
-  out.rows.AppendRows(sk.sketch());
-  out.frobs.push_back(site_frob_[site]);
+  if (site_frob_[site] < tau) return;
+  Emit(site, MP1Flush{sk.sketch().Row(0), sk.rows(), sk.sketch().cols(),
+                      site_frob_[site]});
   sk.Reset();
   site_frob_[site] = 0.0;
 }
 
 DMT_NO_ALLOC
-void MP1BatchedFD::DrainSite(size_t site) {
-  Outbox& out = outbox_[site];
-  for (double frob : out.frobs) {
-    coordinator_frob_ += frob;
-    if (broadcast_frob_ == 0.0 ||
-        coordinator_frob_ / broadcast_frob_ > 1.0 + eps_ / 2.0) {
-      broadcast_frob_ = coordinator_frob_;
-      network_.RecordBroadcast();
-      network_.RecordRound();
-      for (auto& f : site_fest_) f = broadcast_frob_;
-    }
+void MP1BatchedFD::Apply(size_t, const MP1Flush& flush) {
+  coordinator_frob_ += flush.frob;
+  if (broadcast_frob_ == 0.0 ||
+      coordinator_frob_ / broadcast_frob_ > 1.0 + eps_ / 2.0) {
+    broadcast_frob_ = coordinator_frob_;
+    Broadcast();
+    for (auto& f : site_fest_) f = broadcast_frob_;
   }
-  out.frobs.clear();
-  StageRows(out.rows);
-  out.rows.ClearRows();
+  StageRows(flush);
 }
 
 DMT_ALLOC_OK("grows the staging matrix only past the largest drain so far; later drains reuse its capacity")
-void MP1BatchedFD::StageRows(const linalg::Matrix& rows) {
-  drained_rows_.AppendRows(rows);
+void MP1BatchedFD::StageRows(const MP1Flush& flush) {
+  if (flush.count > 0) {
+    drained_rows_.AppendRows(flush.rows, flush.count, flush.cols);
+  }
 }
 
 DMT_NO_ALLOC
@@ -92,25 +92,13 @@ void MP1BatchedFD::FoldDrainedRows() {
 }
 
 DMT_NO_ALLOC
-void MP1BatchedFD::Synchronize() {
-  for (size_t s = 0; s < outbox_.size(); ++s) DrainSite(s);
-  FoldDrainedRows();
-  coordinator_sketch_.Compress();
-}
-
-DMT_NO_ALLOC
-void MP1BatchedFD::SynchronizeSites(const uint32_t* sites, size_t count) {
-  for (size_t i = 0; i < count; ++i) DrainSite(sites[i]);
+void MP1BatchedFD::EndWindow() {
   FoldDrainedRows();
   coordinator_sketch_.Compress();
 }
 
 linalg::Matrix MP1BatchedFD::CoordinatorSketch() const {
   return coordinator_sketch_.sketch();
-}
-
-const stream::CommStats& MP1BatchedFD::comm_stats() const {
-  return network_.stats();
 }
 
 }  // namespace matrix

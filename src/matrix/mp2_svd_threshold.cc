@@ -13,8 +13,7 @@ namespace dmt {
 namespace matrix {
 
 MP2SvdThreshold::MP2SvdThreshold(size_t num_sites, double eps)
-    : eps_(eps), network_(num_sites), sites_(num_sites),
-      outbox_(num_sites) {
+    : MatrixProtocolCore(num_sites), eps_(eps), sites_(num_sites) {
   DMT_CHECK_GT(eps, 0.0);
   DMT_CHECK_LE(eps, 1.0);
 }
@@ -32,115 +31,45 @@ void MP2SvdThreshold::EnsureDim(const std::vector<double>& row) {
   DMT_CHECK_EQ(row.size(), dim_);
 }
 
-double MP2SvdThreshold::SiteScalarPhase(size_t site, double w) {
-  SiteState& st = sites_[site];
-  const double m = static_cast<double>(network_.num_sites());
+void MP2SvdThreshold::SiteStep(size_t site, const std::vector<double>& row) {
+  DMT_CHECK_LT(site, sites_.size());
+  EnsureDim(row);
+  const double w = linalg::SquaredNorm(row);
+
   // Scalar total-mass report (Algorithm 5.3, first branch). Bootstrap:
   // F-hat == 0 makes the threshold 0, so the first row reports at once.
+  SiteState& st = sites_[site];
+  const double m = static_cast<double>(num_sites());
   st.scalar_counter += w;
   if (st.scalar_counter >= (eps_ / m) * st.fest) {
-    network_.RecordScalar(site);
-    const double amount = st.scalar_counter;
+    Emit(site, MP2Msg{true, st.scalar_counter, {}});
     st.scalar_counter = 0.0;
-    return amount;
-  }
-  return 0.0;
-}
-
-void MP2SvdThreshold::ApplyScalar(double amount) {
-  coord_fest_ += amount;
-  if (++scalar_msgs_since_broadcast_ >= network_.num_sites()) {
-    scalar_msgs_since_broadcast_ = 0;
-    network_.RecordBroadcast();
-    network_.RecordRound();
-    for (auto& s : sites_) s.fest = coord_fest_;
-  }
-}
-
-void MP2SvdThreshold::EmitDirection(size_t site, double lam,
-                                    const std::vector<double>& v,
-                                    std::vector<PendingMsg>* sink) {
-  network_.RecordVector(site);
-  if (sink != nullptr) {
-    sink->push_back(PendingMsg{false, lam, v});
-  } else {
-    // sigma * v arrives at the coordinator and is appended to B.
-    coord_gram_.AddOuterProduct(lam, v);
-  }
-}
-
-void MP2SvdThreshold::ProcessRow(size_t site,
-                                 const std::vector<double>& row) {
-  DMT_CHECK_LT(site, sites_.size());
-  EnsureDim(row);
-  const double w = linalg::SquaredNorm(row);
-
-  // Serial path: the scalar report is delivered immediately, so a
-  // broadcast it triggers already raises this site's F-hat for the
-  // direction-threshold check below — the paper's per-row schedule.
-  const double amount = SiteScalarPhase(site, w);
-  if (amount > 0.0) ApplyScalar(amount);
-
-  ElementPhase(site, row, w, /*sink=*/nullptr);
-}
-
-void MP2SvdThreshold::SiteUpdate(size_t site,
-                                 const std::vector<double>& row) {
-  DMT_CHECK_LT(site, sites_.size());
-  EnsureDim(row);
-  const double w = linalg::SquaredNorm(row);
-
-  // Deferred path: the report is queued, so this round's direction
-  // threshold keeps the F-hat of the last Synchronize() — exactly what a
-  // real site knows before the next broadcast arrives. A stale (smaller)
-  // F-hat only lowers the threshold, which ships directions earlier: more
-  // communication, never more error (the bound is one-sided).
-  const double amount = SiteScalarPhase(site, w);
-  if (amount > 0.0) {
-    outbox_[site].push_back(PendingMsg{true, amount, {}});
   }
 
-  ElementPhase(site, row, w, &outbox_[site]);
+  // On the serial path the report above is already delivered, so a
+  // broadcast it triggered raises this site's F-hat for the direction
+  // threshold below — the paper's per-row schedule. In a window the
+  // report waits in the outbox and the threshold keeps the F-hat of the
+  // last drain — exactly what a real site knows before the next
+  // broadcast arrives. A stale (smaller) F-hat only lowers the threshold,
+  // which ships directions earlier: more communication, never more error
+  // (the bound is one-sided).
+  ElementPhase(site, row, w);
 }
 
-void MP2SvdThreshold::DrainSite(size_t site) {
-  for (const PendingMsg& msg : outbox_[site]) {
-    if (msg.is_scalar) {
-      ApplyScalar(msg.value);
-    } else {
-      coord_gram_.AddOuterProduct(msg.value, msg.dir);
-    }
-  }
-  outbox_[site].clear();
-}
-
-void MP2SvdThreshold::Synchronize() {
-  for (size_t s = 0; s < outbox_.size(); ++s) DrainSite(s);
-}
-
-void MP2SvdThreshold::SynchronizeSites(const uint32_t* sites, size_t count) {
-  for (size_t i = 0; i < count; ++i) DrainSite(sites[i]);
-}
-
-std::vector<MP2SvdThreshold::PendingMsg> MP2SvdThreshold::TakePendingMessages(
-    size_t site) {
-  DMT_CHECK_LT(site, outbox_.size());
-  std::vector<PendingMsg> out = std::move(outbox_[site]);
-  outbox_[site].clear();
-  return out;
-}
-
-void MP2SvdThreshold::DeliverMessage(size_t site, const PendingMsg& msg) {
-  DMT_CHECK_LT(site, sites_.size());
-  if (msg.is_scalar) {
-    network_.RecordScalar(site);
-    ApplyScalar(msg.value);
-  } else {
-    // The wire coordinator may never see a raw row, so the first delivered
-    // direction sizes the Gram.
+void MP2SvdThreshold::Apply(size_t, const MP2Msg& msg) {
+  if (!msg.is_scalar) {
+    // sigma * v arrives at the coordinator and is appended to B. A wire
+    // coordinator never sees a raw row, so a direction may size the Gram.
     EnsureDim(msg.dir);
-    network_.RecordVector(site);
     coord_gram_.AddOuterProduct(msg.value, msg.dir);
+    return;
+  }
+  coord_fest_ += msg.value;
+  if (++scalar_msgs_since_broadcast_ >= num_sites()) {
+    scalar_msgs_since_broadcast_ = 0;
+    Broadcast();
+    for (auto& s : sites_) s.fest = coord_fest_;
   }
 }
 
@@ -150,15 +79,15 @@ void MP2SvdThreshold::SetSiteFest(size_t site, double fest) {
 }
 
 void MP2SvdThreshold::ElementPhase(size_t site,
-                                   const std::vector<double>& row, double w,
-                                   std::vector<PendingMsg>* sink) {
+                                   const std::vector<double>& row,
+                                   double w) {
   SiteState& st = sites_[site];
-  const double m = static_cast<double>(network_.num_sites());
+  const double m = static_cast<double>(num_sites());
   const double threshold = (eps_ / m) * st.fest;
   if (threshold <= 0.0) {
     // Bootstrap: B_j is flushed every row, so the pending matrix is rank-1
     // and its only singular direction is the row itself. Ship it directly.
-    if (w > 0.0) EmitDirection(site, 1.0, row, sink);
+    if (w > 0.0) Emit(site, MP2Msg{false, 1.0, row});
     return;
   }
 
@@ -168,7 +97,7 @@ void MP2SvdThreshold::ElementPhase(size_t site,
   // This is the dominant regime at small eps (threshold below typical row
   // norms) and costs O(d) instead of a decomposition.
   if (st.trace == 0.0 && w >= threshold) {
-    EmitDirection(site, 1.0, row, sink);
+    Emit(site, MP2Msg{false, 1.0, row});
     return;
   }
 
@@ -176,14 +105,13 @@ void MP2SvdThreshold::ElementPhase(size_t site,
   st.gram.AddOuterProduct(1.0, row);
   st.trace += w;
   if (st.trace >= threshold && st.trace >= st.next_check) {
-    MaybeSendDirections(site, sink);
+    MaybeSendDirections(site);
   }
 }
 
-void MP2SvdThreshold::MaybeSendDirections(size_t site,
-                                          std::vector<PendingMsg>* sink) {
+void MP2SvdThreshold::MaybeSendDirections(size_t site) {
   SiteState& st = sites_[site];
-  const double m = static_cast<double>(network_.num_sites());
+  const double m = static_cast<double>(num_sites());
   const double threshold = (eps_ / m) * st.fest;
   decompositions_.fetch_add(1, std::memory_order_relaxed);
   const size_t d = dim_;
@@ -252,9 +180,8 @@ void MP2SvdThreshold::MaybeSendDirections(size_t site,
   for (size_t i = 0; i < count; ++i) {
     const double lam = st.vals[i];
     if (lam < threshold || lam <= 0.0) break;  // sorted descending
-    EmitDirection(site, lam,
-                  std::vector<double>(st.vecs.Row(i), st.vecs.Row(i) + d),
-                  sink);
+    Emit(site, MP2Msg{false, lam, std::vector<double>(st.vecs.Row(i),
+                                                      st.vecs.Row(i) + d)});
     ++shipped;
   }
   if (shipped > 0) {
@@ -296,10 +223,6 @@ linalg::Matrix MP2SvdThreshold::CoordinatorSketch() const {
     b.AppendRow(row);
   }
   return b;
-}
-
-const stream::CommStats& MP2SvdThreshold::comm_stats() const {
-  return network_.stats();
 }
 
 }  // namespace matrix

@@ -46,33 +46,29 @@
 
 #include "linalg/lanczos.h"
 #include "matrix/matrix_protocol.h"
-#include "stream/network.h"
 
 namespace dmt {
 namespace matrix {
 
+/// One MP2 site->coordinator message: either a total-mass scalar report
+/// (value = F_j) or a shipped direction (value = lambda, dir = v; the
+/// coordinator appends sqrt(lambda) v to B, i.e. adds lambda * v v^T to
+/// its Gram). Public because the wire transport (src/net) serializes it.
+struct MP2Msg {
+  bool is_scalar;
+  double value;
+  std::vector<double> dir;
+};
+
 /// Deterministic SVD-threshold protocol (MP2).
-class MP2SvdThreshold : public MatrixTrackingProtocol {
+class MP2SvdThreshold : public MatrixProtocolCore<MP2SvdThreshold, MP2Msg> {
  public:
   MP2SvdThreshold(size_t num_sites, double eps);
 
-  void ProcessRow(size_t site, const std::vector<double>& row) override;
-  void SiteUpdate(size_t site, const std::vector<double>& row) override;
-  void Synchronize() override;
-  void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
-  size_t PendingOutboxSize(size_t site) const override {
-    return outbox_[site].size();
-  }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   /// Rows sqrt(lambda_i) v_i^T reconstructed from the coordinator's exact
   /// Gram of all received directions.
   linalg::Matrix CoordinatorSketch() const override;
   linalg::Matrix CoordinatorGram() const override { return coord_gram_; }
-  const stream::CommStats& comm_stats() const override;
-  std::vector<uint64_t> per_site_messages() const override {
-    return network_.per_site_up();
-  }
   std::string name() const override { return "P2"; }
 
   double coordinator_frobenius() const { return coord_fest_; }
@@ -82,24 +78,9 @@ class MP2SvdThreshold : public MatrixTrackingProtocol {
     return decompositions_.load(std::memory_order_relaxed);
   }
 
-  /// One queued site->coordinator message: either a total-mass scalar
-  /// report (value = F_j) or a shipped direction (value = lambda,
-  /// dir = v; the coordinator appends sqrt(lambda) v to B, i.e. adds
-  /// lambda * v v^T to its Gram). Public because the wire transport
-  /// (src/net) serializes it.
-  struct PendingMsg {
-    bool is_scalar;
-    double value;
-    std::vector<double> dir;
-  };
+  // --- Wire-transport hooks (src/net), beside the core's TakeOutbox and
+  // Deliver.
 
-  // --- Wire-transport hooks (src/net); see P1BatchedMG for the scheme.
-
-  /// Site half: moves out this site's queued messages, in emission order.
-  std::vector<PendingMsg> TakePendingMessages(size_t site);
-  /// Coordinator half: records the message cost for `site` and applies one
-  /// message — the remote-delivery equivalent of Synchronize()'s drain.
-  void DeliverMessage(size_t site, const PendingMsg& msg);
   /// F-hat as of the last broadcast (0 before the first) — the value the
   /// coordinator pushes down to sites at a window boundary.
   double last_broadcast_fest() const {
@@ -111,6 +92,8 @@ class MP2SvdThreshold : public MatrixTrackingProtocol {
   size_t dim() const { return dim_; }
 
  private:
+  friend Core;
+
   // Each site keeps the Gram of its unsent rows in original coordinates;
   // appending a row is one symmetric rank-1 update and a threshold check
   // is a warm-seeded partial Lanczos solve (certified through the trace,
@@ -123,38 +106,30 @@ class MP2SvdThreshold : public MatrixTrackingProtocol {
     double scalar_counter = 0.0;// F_j for total-mass reports
     double fest = 0.0;          // F-hat as known by the site
     // Warm start and solver scratch; per-site so the concurrent
-    // SiteUpdate phase never shares mutable state across sites.
+    // site phase never shares mutable state across sites.
     std::vector<double> seed;   // previous check's leading eigenvector
     linalg::LanczosSolver solver;
     std::vector<double> vals;
     linalg::Matrix vecs;
   };
 
-  // Delivers one site's queued messages in emission order.
-  void DrainSite(size_t site);
-  // Lazy structural init from the first row (thread-safe via dim_once_).
+  static stream::MessageCost Cost(const MP2Msg& msg) {
+    return msg.is_scalar ? stream::MessageCost{1, 0, 0}
+                         : stream::MessageCost{0, 0, 1};
+  }
+  void SiteStep(size_t site, const std::vector<double>& row);
+  void Apply(size_t site, const MP2Msg& msg);
+  // Lazy structural init from the first row or delivered direction
+  // (thread-safe via dim_once_).
   void EnsureDim(const std::vector<double>& row);
-  // Site half of the total-mass report: returns the amount to deliver
-  // (0.0 when below threshold); records the scalar message.
-  double SiteScalarPhase(size_t site, double w);
-  // Coordinator half: folds a reported amount, broadcasting F-hat after m
-  // scalar reports.
-  void ApplyScalar(double amount);
-  // Direction-shipping logic shared by both schedules. `sink` == nullptr
-  // applies to the coordinator Gram immediately (serial path); otherwise
-  // directions are queued for Synchronize().
-  void ElementPhase(size_t site, const std::vector<double>& row, double w,
-                    std::vector<PendingMsg>* sink);
-  void EmitDirection(size_t site, double lam, const std::vector<double>& v,
-                     std::vector<PendingMsg>* sink);
-  void MaybeSendDirections(size_t site, std::vector<PendingMsg>* sink);
+  // Direction shipping: the threshold checks of Algorithm 5.3.
+  void ElementPhase(size_t site, const std::vector<double>& row, double w);
+  void MaybeSendDirections(size_t site);
 
   double eps_;
   size_t dim_ = 0;
   std::once_flag dim_once_;
-  stream::Network network_;
   std::vector<SiteState> sites_;
-  std::vector<std::vector<PendingMsg>> outbox_;  // per-site, FIFO
   linalg::Matrix coord_gram_;   // Gram of all received directions
   double coord_fest_ = 0.0;     // coordinator's F-hat
   size_t scalar_msgs_since_broadcast_ = 0;

@@ -11,61 +11,41 @@ namespace dmt {
 namespace matrix {
 MP3SamplingWoR::MP3SamplingWoR(size_t num_sites, double eps, uint64_t seed,
                                size_t sample_size)
-    : s_(sample_size != 0 ? sample_size : hh::SampleSizeForEpsilon(eps)),
-      network_(num_sites),
-      site_rngs_(MakeSiteRngs(num_sites, seed)),
-      outbox_(num_sites) {}
+    : MatrixProtocolCore(num_sites),
+      s_(sample_size != 0 ? sample_size : hh::SampleSizeForEpsilon(eps)),
+      site_rngs_(MakeSiteRngs(num_sites, seed)) {}
 
-void MP3SamplingWoR::ProcessRow(size_t site,
-                                const std::vector<double>& row) {
-  SiteUpdate(site, row);
-  DrainSite(site);  // only this site can have queued anything
-}
-
-void MP3SamplingWoR::SiteUpdate(size_t site, const std::vector<double>& row) {
+void MP3SamplingWoR::SiteStep(size_t site, const std::vector<double>& row) {
   DMT_CHECK_LT(site, site_rngs_.size());
   const double w = linalg::SquaredNorm(row);
   if (w <= 0.0) return;  // zero rows carry no covariance mass
   const double rho = w / site_rngs_[site].NextDoublePositive();
-  // tau_ only moves at Synchronize(); within a round every site compares
+  // tau_ only moves at a drain; within a round every site compares
   // against the threshold of the last broadcast it has seen.
   if (rho < tau_) return;
-  network_.RecordVector(site);
-  outbox_[site].push_back(SampledRow{row, w, rho});
+  Emit(site, MP3SampledRow{row, w, rho});
 }
 
-void MP3SamplingWoR::DrainSite(size_t site) {
-  for (SampledRow& sr : outbox_[site]) {
-    // Rows can arrive after tau doubled past their priority (sent before
-    // this round's broadcast reached the site); the coordinator drops
-    // them to keep the pool invariant "priority >= current tau".
-    if (sr.priority < tau_) continue;
-    if (sr.priority >= 2.0 * tau_) {
-      q_next_.push_back(std::move(sr));
-      EndRoundIfNeeded();
-    } else {
-      q_cur_.push_back(std::move(sr));
-    }
+void MP3SamplingWoR::Apply(size_t, MP3SampledRow& sr) {
+  // Rows can arrive after tau doubled past their priority (sent before
+  // this round's broadcast reached the site); the coordinator drops
+  // them to keep the pool invariant "priority >= current tau".
+  if (sr.priority < tau_) return;
+  if (sr.priority >= 2.0 * tau_) {
+    q_next_.push_back(std::move(sr));
+    EndRoundIfNeeded();
+  } else {
+    q_cur_.push_back(std::move(sr));
   }
-  outbox_[site].clear();
-}
-
-void MP3SamplingWoR::Synchronize() {
-  for (size_t s = 0; s < outbox_.size(); ++s) DrainSite(s);
-}
-
-void MP3SamplingWoR::SynchronizeSites(const uint32_t* sites, size_t count) {
-  for (size_t i = 0; i < count; ++i) DrainSite(sites[i]);
 }
 
 void MP3SamplingWoR::EndRoundIfNeeded() {
   while (q_next_.size() >= s_) {
     tau_ *= 2.0;
     tau_ever_doubled_ = true;
-    network_.RecordBroadcast();
-    network_.RecordRound();
+    Broadcast();
     q_cur_.clear();
-    std::vector<SampledRow> promoted;
+    std::vector<MP3SampledRow> promoted;
     for (auto& e : q_next_) {
       if (e.priority >= 2.0 * tau_) {
         promoted.push_back(std::move(e));
@@ -79,7 +59,7 @@ void MP3SamplingWoR::EndRoundIfNeeded() {
 
 linalg::Matrix MP3SamplingWoR::CoordinatorSketch() const {
   linalg::Matrix b;
-  std::vector<const SampledRow*> pool;
+  std::vector<const MP3SampledRow*> pool;
   pool.reserve(q_cur_.size() + q_next_.size());
   for (const auto& e : q_cur_) pool.push_back(&e);
   for (const auto& e : q_next_) pool.push_back(&e);
@@ -95,7 +75,8 @@ linalg::Matrix MP3SamplingWoR::CoordinatorSketch() const {
   // its row is dropped; every kept row is rescaled to squared norm
   // max(w, rho-hat).
   auto min_it = std::min_element(
-      pool.begin(), pool.end(), [](const SampledRow* a, const SampledRow* b) {
+      pool.begin(), pool.end(),
+      [](const MP3SampledRow* a, const MP3SampledRow* b) {
         return a->priority < b->priority;
       });
   const double rho_hat = (*min_it)->priority;
@@ -113,25 +94,15 @@ linalg::Matrix MP3SamplingWoR::CoordinatorSketch() const {
   return b;
 }
 
-const stream::CommStats& MP3SamplingWoR::comm_stats() const {
-  return network_.stats();
-}
-
 MP3SamplingWR::MP3SamplingWR(size_t num_sites, double eps, uint64_t seed,
                              size_t sample_size)
-    : s_(sample_size != 0 ? sample_size : hh::SampleSizeForEpsilon(eps)),
-      network_(num_sites),
+    : MatrixProtocolCore(num_sites),
+      s_(sample_size != 0 ? sample_size : hh::SampleSizeForEpsilon(eps)),
       site_rngs_(MakeSiteRngs(num_sites, seed)),
       slots_(s_),
-      slots_below_2tau_(s_),
-      outbox_(num_sites) {}
+      slots_below_2tau_(s_) {}
 
-void MP3SamplingWR::ProcessRow(size_t site, const std::vector<double>& row) {
-  SiteUpdate(site, row);
-  DrainSite(site);  // only this site can have queued anything
-}
-
-void MP3SamplingWR::SiteUpdate(size_t site, const std::vector<double>& row) {
+void MP3SamplingWR::SiteStep(size_t site, const std::vector<double>& row) {
   DMT_CHECK_LT(site, site_rngs_.size());
   const double w = linalg::SquaredNorm(row);
   if (w <= 0.0) return;
@@ -144,11 +115,10 @@ void MP3SamplingWR::SiteUpdate(size_t site, const std::vector<double>& row) {
     t = static_cast<size_t>(std::log(rng.NextDoublePositive()) /
                             std::log(1.0 - p));
   }
-  PendingSends sends{row, w, {}};
+  MP3Sends sends{{}, w, {}};
   while (t < s_) {
     const double u = rng.NextDoublePositive() * p;
     sends.hits.emplace_back(t, w / u);
-    network_.RecordVector(site);
     if (p >= 1.0) {
       ++t;
     } else {
@@ -156,7 +126,9 @@ void MP3SamplingWR::SiteUpdate(size_t site, const std::vector<double>& row) {
                                    std::log(1.0 - p));
     }
   }
-  if (!sends.hits.empty()) outbox_[site].push_back(std::move(sends));
+  if (sends.hits.empty()) return;
+  sends.row = row;
+  Emit(site, std::move(sends));
 }
 
 void MP3SamplingWR::ApplySlotUpdate(size_t t, const std::vector<double>& row,
@@ -179,30 +151,18 @@ void MP3SamplingWR::ApplySlotUpdate(size_t t, const std::vector<double>& row,
   }
 }
 
-void MP3SamplingWR::DrainSite(size_t site) {
-  for (const PendingSends& sends : outbox_[site]) {
-    for (const auto& [t, rho] : sends.hits) {
-      ApplySlotUpdate(t, sends.row, sends.weight, rho);
-    }
-    // One round check per row, matching the per-row serial schedule.
-    EndRoundIfNeeded();
+void MP3SamplingWR::Apply(size_t, const MP3Sends& sends) {
+  for (const auto& [t, rho] : sends.hits) {
+    ApplySlotUpdate(t, sends.row, sends.weight, rho);
   }
-  outbox_[site].clear();
-}
-
-void MP3SamplingWR::Synchronize() {
-  for (size_t s = 0; s < outbox_.size(); ++s) DrainSite(s);
-}
-
-void MP3SamplingWR::SynchronizeSites(const uint32_t* sites, size_t count) {
-  for (size_t i = 0; i < count; ++i) DrainSite(sites[i]);
+  // One round check per row, matching the per-row serial schedule.
+  EndRoundIfNeeded();
 }
 
 void MP3SamplingWR::EndRoundIfNeeded() {
   while (slots_below_2tau_ == 0) {
     tau_ *= 2.0;
-    network_.RecordBroadcast();
-    network_.RecordRound();
+    Broadcast();
     slots_below_2tau_ = 0;
     for (const Slot& slot : slots_) {
       if (slot.second_priority <= 2.0 * tau_) ++slots_below_2tau_;
@@ -233,10 +193,6 @@ linalg::Matrix MP3SamplingWR::CoordinatorSketch() const {
     b.AppendRow(scaled);
   }
   return b;
-}
-
-const stream::CommStats& MP3SamplingWR::comm_stats() const {
-  return network_.stats();
 }
 
 }  // namespace matrix

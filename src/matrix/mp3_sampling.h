@@ -25,87 +25,77 @@
 #include <vector>
 
 #include "matrix/matrix_protocol.h"
-#include "stream/network.h"
 #include "util/rng.h"
 
 namespace dmt {
 namespace matrix {
 
+/// One forwarded MP3wor row with its squared norm at arrival and its
+/// priority.
+struct MP3SampledRow {
+  std::vector<double> row;
+  double weight = 0.0;
+  double priority = 0.0;
+};
+
 /// Without-replacement row-sampling protocol (MP3 / "P3wor").
-class MP3SamplingWoR : public MatrixTrackingProtocol {
+class MP3SamplingWoR
+    : public MatrixProtocolCore<MP3SamplingWoR, MP3SampledRow> {
  public:
   /// `sample_size` = 0 derives s from eps (same formula as hh::P3).
   MP3SamplingWoR(size_t num_sites, double eps, uint64_t seed,
                  size_t sample_size = 0);
 
-  void ProcessRow(size_t site, const std::vector<double>& row) override;
-  void SiteUpdate(size_t site, const std::vector<double>& row) override;
-  void Synchronize() override;
-  void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
-  size_t PendingOutboxSize(size_t site) const override {
-    return outbox_[site].size();
-  }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   linalg::Matrix CoordinatorSketch() const override;
-  const stream::CommStats& comm_stats() const override;
-  std::vector<uint64_t> per_site_messages() const override {
-    return network_.per_site_up();
-  }
   std::string name() const override { return "P3wor"; }
 
   size_t sample_size() const { return s_; }
   double threshold() const { return tau_; }
 
  private:
-  struct SampledRow {
-    std::vector<double> row;
-    double weight = 0.0;   // squared norm at arrival
-    double priority = 0.0;
-  };
+  friend Core;
 
-  /// Delivers one site's queued forwards in emission order.
-  void DrainSite(size_t site);
+  // One forwarded row is one vector message.
+  static stream::MessageCost Cost(const MP3SampledRow&) {
+    return stream::MessageCost{0, 0, 1};
+  }
+  void SiteStep(size_t site, const std::vector<double>& row);
+  void Apply(size_t site, MP3SampledRow& sr);
   void EndRoundIfNeeded();
 
   size_t s_;
-  stream::Network network_;
   // One private generator per site (seed = base ⊕ site), so sites draw
   // priorities independently and may run on concurrent threads.
   std::vector<Rng> site_rngs_;
   double tau_ = 1.0;
   bool tau_ever_doubled_ = false;
-  std::vector<SampledRow> q_cur_;
-  std::vector<SampledRow> q_next_;
-  // Forwarded rows awaiting coordinator bucketing (per-site, FIFO).
-  std::vector<std::vector<SampledRow>> outbox_;
+  std::vector<MP3SampledRow> q_cur_;
+  std::vector<MP3SampledRow> q_next_;
+};
+
+/// All MP3wr sampler successes of one row scored at one site: (slot
+/// index, priority) pairs, one message each, delivered as one batch so
+/// round accounting matches the per-row serial schedule.
+struct MP3Sends {
+  std::vector<double> row;
+  double weight;
+  std::vector<std::pair<size_t, double>> hits;
 };
 
 /// With-replacement row-sampling protocol (MP3wr / "P3wr").
-class MP3SamplingWR : public MatrixTrackingProtocol {
+class MP3SamplingWR : public MatrixProtocolCore<MP3SamplingWR, MP3Sends> {
  public:
   MP3SamplingWR(size_t num_sites, double eps, uint64_t seed,
                 size_t sample_size = 0);
 
-  void ProcessRow(size_t site, const std::vector<double>& row) override;
-  void SiteUpdate(size_t site, const std::vector<double>& row) override;
-  void Synchronize() override;
-  void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
-  size_t PendingOutboxSize(size_t site) const override {
-    return outbox_[site].size();
-  }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   linalg::Matrix CoordinatorSketch() const override;
-  const stream::CommStats& comm_stats() const override;
-  std::vector<uint64_t> per_site_messages() const override {
-    return network_.per_site_up();
-  }
   std::string name() const override { return "P3wr"; }
 
   size_t sample_size() const { return s_; }
 
  private:
+  friend Core;
+
   struct Slot {
     std::vector<double> row;
     double weight = 0.0;
@@ -113,29 +103,21 @@ class MP3SamplingWR : public MatrixTrackingProtocol {
     double second_priority = 0.0;
   };
 
-  /// All sampler successes of one row scored at one site: (slot index,
-  /// priority) pairs, delivered to the coordinator as one batch so round
-  /// accounting matches the per-row serial schedule.
-  struct PendingSends {
-    std::vector<double> row;
-    double weight;
-    std::vector<std::pair<size_t, double>> hits;
-  };
-
+  static stream::MessageCost Cost(const MP3Sends& sends) {
+    return stream::MessageCost{0, 0, sends.hits.size()};
+  }
+  void SiteStep(size_t site, const std::vector<double>& row);
+  void Apply(size_t site, const MP3Sends& sends);
   void ApplySlotUpdate(size_t t, const std::vector<double>& row,
                        double weight, double rho);
-  /// Delivers one site's queued sampler successes in emission order.
-  void DrainSite(size_t site);
   void EndRoundIfNeeded();
 
   size_t s_;
-  stream::Network network_;
   // One private generator per site (seed = base ⊕ site); see MP3SamplingWoR.
   std::vector<Rng> site_rngs_;
   double tau_ = 1.0;
   std::vector<Slot> slots_;
   size_t slots_below_2tau_ = 0;
-  std::vector<std::vector<PendingSends>> outbox_;  // per-site, FIFO
 };
 
 }  // namespace matrix

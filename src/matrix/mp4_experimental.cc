@@ -17,7 +17,7 @@ MP4Experimental::MP4Experimental(size_t num_sites, double eps, uint64_t seed,
       options_(options),
       network_(num_sites),
       site_rngs_(MakeSiteRngs(num_sites, seed)),
-      weight_tracker_(&network_),
+      weight_tracker_(num_sites),
       sites_(num_sites),
       site_contribution_(num_sites) {
   DMT_CHECK_GT(eps, 0.0);
@@ -57,8 +57,16 @@ void MP4Experimental::ProcessRow(size_t site,
   st.gram.AddOuterProduct(1.0, row);
   if (options_.realign_rounds > 0) st.local_fd.Append(row);
 
-  const bool broadcast_happened = weight_tracker_.Observe(site, w);
-  if (broadcast_happened) ++broadcast_rounds_;
+  // The weight report is delivered at once: MP4 runs serially only.
+  const double amount = weight_tracker_.SitePendingReport(site, w);
+  if (amount > 0.0) {
+    network_.RecordScalar(site);
+    if (weight_tracker_.ApplyReport(amount)) {
+      network_.RecordBroadcast();
+      network_.RecordRound();
+      ++broadcast_rounds_;
+    }
+  }
 
   if (options_.realign_rounds > 0 &&
       broadcast_rounds_ >=

@@ -17,7 +17,7 @@ std::string MsgTypeName(MsgType t) {
 
 void P1Wire::EncodeWindow(size_t site, FrameBatch* batch) {
   std::vector<uint8_t> payload;
-  for (const auto& flush : protocol_->TakePendingFlushes(site)) {
+  for (const hh::P1Flush& flush : protocol_->TakeOutbox(site)) {
     HHFlushMsg m;
     m.weight = flush.weight;
     m.k = static_cast<uint32_t>(flush.summary.k());
@@ -54,8 +54,7 @@ bool P1Wire::ApplyFrame(size_t site, MsgType type, const uint8_t* payload,
   }
   sketch::WeightedMisraGries summary(m.k);
   summary.RestoreState(m.total_weight, m.total_decrement, m.counters);
-  protocol_->DeliverFlush(
-      site, hh::P1BatchedMG::PendingFlush{std::move(summary), m.weight});
+  protocol_->Deliver(site, hh::P1Flush{std::move(summary), m.weight});
   return true;
 }
 
@@ -63,7 +62,7 @@ double P1Wire::BroadcastValue() const { return protocol_->broadcast_weight(); }
 
 void MP2Wire::EncodeWindow(size_t site, FrameBatch* batch) {
   std::vector<uint8_t> payload;
-  for (const auto& msg : protocol_->TakePendingMessages(site)) {
+  for (const matrix::MP2Msg& msg : protocol_->TakeOutbox(site)) {
     payload.clear();
     if (msg.is_scalar) {
       EncodeMatrixScalar(MatrixScalarMsg{msg.value}, &payload);
@@ -88,8 +87,7 @@ bool MP2Wire::ApplyFrame(size_t site, MsgType type, const uint8_t* payload,
       *error = "mp2: malformed scalar payload";
       return false;
     }
-    protocol_->DeliverMessage(
-        site, matrix::MP2SvdThreshold::PendingMsg{true, m.value, {}});
+    protocol_->Deliver(site, matrix::MP2Msg{true, m.value, {}});
     return true;
   }
   if (type == MsgType::kMatrixDirection) {
@@ -98,16 +96,15 @@ bool MP2Wire::ApplyFrame(size_t site, MsgType type, const uint8_t* payload,
       *error = "mp2: malformed direction payload";
       return false;
     }
-    // Dimension cross-check before delivery: EnsureDim treats a mismatch
-    // as a programming error (abort), but wire input is untrusted.
+    // Dimension cross-check before delivery: the protocol treats a
+    // mismatch as a programming error (abort), but wire input is untrusted.
     if (m.dir.empty() ||
         (protocol_->dim() != 0 && m.dir.size() != protocol_->dim())) {
       *error = "mp2: direction dimension mismatch";
       return false;
     }
-    protocol_->DeliverMessage(
-        site, matrix::MP2SvdThreshold::PendingMsg{false, m.lambda,
-                                                  std::move(m.dir)});
+    protocol_->Deliver(site,
+                       matrix::MP2Msg{false, m.lambda, std::move(m.dir)});
     return true;
   }
   *error = "mp2: unexpected " + MsgTypeName(type);

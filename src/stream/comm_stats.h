@@ -40,6 +40,15 @@ struct CommStats {
   }
 };
 
+/// Upstream cost of one site->coordinator message, by CommStats category
+/// (e.g. a P1 flush of k counters costs k elements; an empty one, one
+/// scalar).
+struct MessageCost {
+  uint64_t scalar = 0;
+  uint64_t element = 0;
+  uint64_t vector = 0;
+};
+
 }  // namespace stream
 }  // namespace dmt
 

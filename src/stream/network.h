@@ -1,32 +1,24 @@
 // Simulated star network: m sites, one coordinator, counted channels.
 //
 // The simulator is synchronous and in-process (the paper's evaluation also
-// only counts messages, never wall-clock network time). Protocols call the
-// Record* methods at each send; delivery itself is a direct method call
-// inside the protocol implementation.
+// only counts messages, never wall-clock network time). The message core
+// (stream/protocol_core.h) records each site->coordinator message once,
+// at delivery, from the message's declared cost, and each coordinator
+// broadcast as it happens; delivery itself is a direct method call.
 //
-// Threading model: the per-site upstream counters are sharded one cache
-// line per site, so RecordScalar/RecordElement/RecordVector may be called
-// concurrently as long as no two threads record for the *same* site — the
-// contract the simulation driver upholds by pinning each site to exactly
-// one task per round. Coordinator-side events (RecordBroadcast /
-// RecordRound) use relaxed atomics and are safe from any thread. Aggregate
-// reads (stats(), per_site_up()) merge the shards into mutable caches and
-// must be externally serialized: no concurrent site recording AND no
-// second concurrent aggregate read (const here does not mean thread-safe).
-// In driver terms both hold trivially — aggregates are read on the
-// coordinator thread at round boundaries or after the run, and the pool
-// barrier provides the needed happens-before edge.
+// Threading model: plain counters. Every record happens on the
+// coordinator's thread — the drain, or the serial Process path — so no
+// site thread ever touches a Network, and reads (stats(), per_site_up())
+// are ordered after the site phase by the driver's window barrier.
 #ifndef DMT_STREAM_NETWORK_H_
 #define DMT_STREAM_NETWORK_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "stream/comm_stats.h"
-#include "util/contracts.h"
+#include "util/check.h"
 
 namespace dmt {
 namespace stream {
@@ -35,51 +27,41 @@ namespace stream {
 class Network {
  public:
   /// `num_sites` is m in the paper.
-  explicit Network(size_t num_sites);
+  explicit Network(size_t num_sites) : per_site_up_(num_sites, 0) {
+    DMT_CHECK_GE(num_sites, 1u);
+  }
 
-  size_t num_sites() const { return num_sites_; }
+  size_t num_sites() const { return per_site_up_.size(); }
 
-  /// Site -> coordinator sends. Concurrency-safe across distinct sites
-  /// (each writes only its own shard).
-  void RecordScalar(size_t site);
-  void RecordElement(size_t site);
-  void RecordVector(size_t site);
+  /// One site -> coordinator message of the given cost.
+  void Record(size_t site, const MessageCost& cost) {
+    DMT_CHECK_LT(site, per_site_up_.size());
+    stats_.scalar_up += cost.scalar;
+    stats_.element_up += cost.element;
+    stats_.vector_up += cost.vector;
+    per_site_up_[site] += cost.scalar + cost.element + cost.vector;
+  }
+  void RecordScalar(size_t site) { Record(site, MessageCost{1, 0, 0}); }
+  void RecordElement(size_t site) { Record(site, MessageCost{0, 1, 0}); }
+  void RecordVector(size_t site) { Record(site, MessageCost{0, 0, 1}); }
 
   /// Coordinator -> all-sites broadcast (costs num_sites messages).
-  /// Safe from any thread (relaxed atomic).
-  void RecordBroadcast();
+  void RecordBroadcast() {
+    ++stats_.broadcast_events;
+    stats_.broadcast_msgs += per_site_up_.size();
+  }
 
   /// Marks a protocol round/epoch boundary (bookkeeping only).
-  /// Safe from any thread (relaxed atomic).
-  void RecordRound();
+  void RecordRound() { ++stats_.rounds; }
 
-  /// Merged counters. Only call while no site is concurrently recording
-  /// (e.g. at a synchronization round boundary).
-  const CommStats& stats() const;
+  const CommStats& stats() const { return stats_; }
 
   /// Per-site upstream message counts (diagnostics; index = site id).
-  /// Same synchronization requirement as stats().
-  const std::vector<uint64_t>& per_site_up() const;
+  const std::vector<uint64_t>& per_site_up() const { return per_site_up_; }
 
  private:
-  // One cache line per site: protocols running sites on distinct threads
-  // must not contend on (or false-share) each other's tallies.
-  struct alignas(64) Shard {
-    uint64_t scalar_up = 0;
-    uint64_t element_up = 0;
-    uint64_t vector_up = 0;
-  };
-
-  size_t num_sites_;
-  std::vector<Shard> shards_;
-  // Pure statistics, read only at round boundaries under the pool
-  // barrier's happens-before edge: relaxed per the DMT_ATOMIC_COUNTER
-  // contract — anything stronger would be an unjustified fence.
-  DMT_ATOMIC_COUNTER std::atomic<uint64_t> broadcast_events_{0};
-  DMT_ATOMIC_COUNTER std::atomic<uint64_t> rounds_{0};
-  // Merge caches rebuilt by the aggregate accessors (logically const).
-  mutable CommStats merged_;
-  mutable std::vector<uint64_t> per_site_up_;
+  CommStats stats_;
+  std::vector<uint64_t> per_site_up_;
 };
 
 }  // namespace stream

@@ -37,8 +37,9 @@
 //   chunk_elements), runs with ANY number of threads produce bit-identical
 //   coordinator state, CommStats and per-site message counts to the serial
 //   execution of the same schedule. Per-site work touches only per-site
-//   state (the protocols' SiteUpdate contract and per-site RNG streams),
-//   per-site network shards, and per-site outboxes, so which lane runs
+//   state (the protocols' SiteUpdate contract and per-site RNG streams)
+//   and per-site outboxes; messages are counted at delivery, on the
+//   coordinator's thread. So which lane runs
 //   which batch is scheduling noise; the coordinator phase is
 //   single-threaded and replays the fixed ascending-site order. Only the
 //   SchedulerStats observability counters (e.g. batches_reserved) may

@@ -4,6 +4,7 @@
 // rows).
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -394,6 +395,13 @@ struct RouteCase {
   bool bulk;   // feed through four AppendRows blocks instead of Append
   bool dense;  // expected UsesDenseShrink(ell, d)
 };
+
+// Names each case by its fields, so the registered test names are stable
+// (gtest would otherwise print the raw bytes, padding included).
+void PrintTo(const RouteCase& c, std::ostream* os) {
+  *os << "ell" << c.ell << "_d" << c.d << "_n" << c.n
+      << (c.bulk ? "_bulk" : "_append") << (c.dense ? "_dense" : "_lanczos");
+}
 
 class ShrinkRouteTest : public ::testing::TestWithParam<RouteCase> {};
 
