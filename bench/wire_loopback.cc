@@ -125,10 +125,7 @@ WirePoint BenchProtocol(const std::string& protocol, size_t n) {
     point.tcp_seconds =
         RunOnThreads(config, workload, &coord, std::move(coord_ends),
                      std::move(site_ends), &report);
-    const auto& stats = config.protocol == "p1"
-                            ? coord.hh->comm_stats()
-                            : coord.mp->comm_stats();
-    point.messages = stats.total();
+    point.messages = coord.instance().comm_stats().total();
     point.bytes_up = report.total_bytes_up();
     point.bytes_down = report.total_bytes_down();
     point.frames = report.frames_received;

@@ -38,6 +38,12 @@ class ExactTracker : public HHProtocolCore<ExactTracker, ExactForward> {
   static stream::MessageCost Cost(const ExactForward&) {
     return stream::MessageCost{0, 1, 0};
   }
+  template <typename IO, typename M>
+  static bool Fields(IO& io, M& f) {
+    return io.Field(f.element) && io.Field(f.weight);
+  }
+  DMT_UNTRUSTED_INPUT
+  bool Valid(const ExactForward& f) const { return f.weight > 0.0; }
   void SiteStep(size_t site, uint64_t element, double weight) {
     Emit(site, ExactForward{element, weight});
   }

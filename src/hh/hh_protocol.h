@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "stream/comm_stats.h"
 #include "stream/protocol_core.h"
 
 namespace dmt {
@@ -37,10 +36,8 @@ struct HHSnapshotEntry {
 /// sites; communication is counted in messages (stream::CommStats) —
 /// one site→coordinator report or one per-receiver broadcast each
 /// count 1.
-class HeavyHitterProtocol {
+class HeavyHitterProtocol : public stream::Protocol {
  public:
-  virtual ~HeavyHitterProtocol() = default;
-
   /// Processes one stream element arriving at `site`. `weight` > 0.
   /// Serial entry point: any triggered site->coordinator messages are
   /// delivered (and broadcasts applied) before this returns.
@@ -57,47 +54,6 @@ class HeavyHitterProtocol {
     Process(site, element, weight);
   }
 
-  /// Coordinator half: drains every site's outbox in ascending site order
-  /// (emission order within a site), applying merges and broadcasts. Must
-  /// run on a single thread with no concurrent SiteUpdate — the simulation
-  /// driver calls it at round boundaries. Default: no-op (matches the
-  /// default SiteUpdate, which delivers immediately).
-  virtual void Synchronize() {}
-
-  /// Targeted coordinator half: drains exactly the listed sites' outboxes,
-  /// in the given order. The driver passes the ascending-sorted set of
-  /// sites whose outboxes are non-empty (collected from the workers'
-  /// per-lane publication buffers), so this applies the exact total order
-  /// of Synchronize() — ascending site, emission order within a site —
-  /// without the O(num_sites) scan. Equivalence requires every unlisted
-  /// site's outbox to be empty. Same threading contract as Synchronize().
-  /// Default: full Synchronize() scan (always correct).
-  virtual void SynchronizeSites(const uint32_t* sites, size_t count) {
-    (void)sites;
-    (void)count;
-    Synchronize();
-  }
-
-  /// True when SynchronizeSites() implements a real targeted drain. The
-  /// driver then skips the full scan; otherwise every window costs one
-  /// all-sites Synchronize() (counted as a drain stall in
-  /// stream::SchedulerStats).
-  virtual bool SupportsTargetedDrain() const { return false; }
-
-  /// Messages queued in `site`'s outbox awaiting the next drain. Workers
-  /// call this right after the site's last SiteUpdate of a window to
-  /// decide whether to publish the site for draining — same concurrency
-  /// contract as SiteUpdate (distinct sites from distinct threads).
-  /// Default: SIZE_MAX, "unknown — always publish".
-  virtual size_t PendingOutboxSize(size_t site) const {
-    (void)site;
-    return SIZE_MAX;
-  }
-
-  /// True when SiteUpdate() touches only per-site state and may therefore
-  /// run concurrently for distinct sites.
-  virtual bool SupportsConcurrentSiteUpdates() const { return false; }
-
   /// Coordinator's current estimate of element's total weight; within
   /// ε·W of the truth per the class contract. Returns 0 for untracked
   /// elements (correct up to the same bound).
@@ -106,17 +62,6 @@ class HeavyHitterProtocol {
   /// Coordinator's current estimate of the total stream weight W
   /// (within a (1 ± ε) factor for the threshold-style protocols).
   virtual double EstimateTotalWeight() const = 0;
-
-  /// Communication counters so far.
-  virtual const stream::CommStats& comm_stats() const = 0;
-
-  /// Per-site upstream message counts (index = site id). Same
-  /// synchronization requirement as comm_stats(): call only between
-  /// rounds / after the run.
-  virtual std::vector<uint64_t> per_site_messages() const = 0;
-
-  /// Short display name (e.g. "P2").
-  virtual std::string name() const = 0;
 
   /// Returns every element the coordinator currently tracks that passes the
   /// paper's report rule: Estimate(e)/EstimateTotal() >= phi - eps/2.

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "util/check.h"
+#include "util/contracts.h"
 
 namespace dmt {
 namespace hh {
@@ -19,7 +20,6 @@ P1BatchedMG::P1BatchedMG(size_t num_sites, double eps)
         sketch::WeightedMisraGries::WithEpsilon(eps / 2));
   }
   site_weight_.assign(num_sites, 0.0);
-  site_west_.assign(num_sites, 0.0);
 }
 
 void P1BatchedMG::SiteStep(size_t site, uint64_t element, double weight) {
@@ -29,9 +29,9 @@ void P1BatchedMG::SiteStep(size_t site, uint64_t element, double weight) {
   site_weight_[site] += weight;
 
   const double m = static_cast<double>(num_sites());
-  // site_west_ is the W-hat from the last broadcast the site has seen; it
-  // only changes at a drain, so this read is round-stable.
-  const double tau = (eps_ / (2.0 * m)) * site_west_[site];
+  // The W-hat of the last broadcast the site has seen; it only changes at
+  // a drain, so this read is round-stable.
+  const double tau = (eps_ / (2.0 * m)) * view(site);
   // Before the first broadcast tau is 0 and every item triggers a flush;
   // this is the bootstrap the paper leaves implicit.
   if (site_weight_[site] < tau) return;
@@ -46,17 +46,34 @@ void P1BatchedMG::Apply(size_t, const P1Flush& flush) {
   coordinator_summary_.Merge(flush.summary);
   coordinator_weight_ += flush.weight;
 
-  if (broadcast_weight_ == 0.0 ||
-      coordinator_weight_ / broadcast_weight_ > 1.0 + eps_ / 2.0) {
-    broadcast_weight_ = coordinator_weight_;
-    Broadcast();
-    for (auto& w : site_west_) w = broadcast_weight_;
+  const double west = broadcast_value();
+  if (west == 0.0 || coordinator_weight_ / west > 1.0 + eps_ / 2.0) {
+    Broadcast(coordinator_weight_);
   }
 }
 
-void P1BatchedMG::SetSiteBroadcastWeight(size_t site, double west) {
-  DMT_CHECK_LT(site, site_west_.size());
-  site_west_[site] = west;
+void P1BatchedMG::Encode(const P1Flush& flush, ByteWriter* w) {
+  w->Put<double>(flush.weight);
+  w->Put<uint32_t>(static_cast<uint32_t>(flush.summary.k()));
+  w->Put<double>(flush.summary.total_weight());
+  w->Put<double>(flush.summary.total_decrement());
+  w->Field(flush.summary.Items());
+}
+
+DMT_UNTRUSTED_INPUT
+bool P1BatchedMG::Decode(ByteReader* r, P1Flush* flush) const {
+  flush->weight = r->Get<double>();
+  const uint32_t k = r->Get<uint32_t>();
+  const double total_weight = r->Get<double>();
+  const double total_decrement = r->Get<double>();
+  std::vector<std::pair<uint64_t, double>> counters;
+  // Merge requires this run's k; RestoreState checks the counters.
+  if (!r->ok() || k != coordinator_summary_.k() || !(flush->weight > 0.0) ||
+      !r->Field(counters)) {
+    return false;
+  }
+  return flush->summary.RestoreState(k, total_weight, total_decrement,
+                                     counters);
 }
 
 double P1BatchedMG::EstimateElementWeight(uint64_t element) const {

@@ -24,11 +24,10 @@ namespace dmt {
 namespace hh {
 
 /// A site's shipped batch: the snapshot of its MG summary plus the local
-/// weight W_i since the previous flush. Public because the wire transport
-/// (src/net) serializes it.
+/// weight W_i since the previous flush.
 struct P1Flush {
-  sketch::WeightedMisraGries summary;
-  double weight;
+  sketch::WeightedMisraGries summary{1};
+  double weight = 0.0;
 };
 
 /// Deterministic batched-summary protocol (P1).
@@ -42,16 +41,6 @@ class P1BatchedMG : public HHProtocolCore<P1BatchedMG, P1Flush> {
   std::string name() const override { return "P1"; }
   std::vector<uint64_t> TrackedElements() const override;
 
-  // --- Wire-transport hooks (src/net), beside the core's TakeOutbox and
-  // Deliver.
-
-  /// Last broadcast W-hat (what the coordinator pushes down to sites).
-  double broadcast_weight() const { return broadcast_weight_; }
-  /// Installs a received W-hat broadcast into one site's view.
-  void SetSiteBroadcastWeight(size_t site, double west);
-  /// Counter budget of every summary in this run (wire k cross-check).
-  size_t summary_k() const { return coordinator_summary_.k(); }
-
  private:
   friend Core;
 
@@ -63,6 +52,11 @@ class P1BatchedMG : public HHProtocolCore<P1BatchedMG, P1Flush> {
     return k == 0 ? stream::MessageCost{1, 0, 0}
                   : stream::MessageCost{0, k, 0};
   }
+  // Wire layout: W_i, then the summary's k, total weight, total
+  // decrement and live counters in Items() order. Decode accepts only
+  // this run's k, at most 2k distinct counters and positive weights.
+  static void Encode(const P1Flush& flush, ByteWriter* w);
+  bool Decode(ByteReader* r, P1Flush* flush) const;
   void SiteStep(size_t site, uint64_t element, double weight);
   // Coordinator half (merge + W_C + possible W-hat broadcast).
   void Apply(size_t site, const P1Flush& flush);
@@ -71,11 +65,9 @@ class P1BatchedMG : public HHProtocolCore<P1BatchedMG, P1Flush> {
   // Per-site state.
   std::vector<sketch::WeightedMisraGries> site_summaries_;
   std::vector<double> site_weight_;    // W_i since last flush
-  std::vector<double> site_west_;      // W-hat as known by the site
-  // Coordinator state.
+  // Coordinator state (the last broadcast W-hat is broadcast_value()).
   sketch::WeightedMisraGries coordinator_summary_;
   double coordinator_weight_ = 0.0;    // W_C
-  double broadcast_weight_ = 0.0;      // last broadcast W-hat
 };
 
 }  // namespace hh

@@ -11,7 +11,6 @@ P2Threshold::P2Threshold(size_t num_sites, double eps,
   DMT_CHECK_GT(eps, 0.0);
   DMT_CHECK_LE(eps, 1.0);
   site_weight_.assign(num_sites, 0.0);
-  site_west_.assign(num_sites, 0.0);
   if (options_.site_counters > 0) {
     site_summary_.reserve(num_sites);
     for (size_t i = 0; i < num_sites; ++i) {
@@ -43,7 +42,7 @@ void P2Threshold::SiteStep(size_t site, uint64_t element, double weight) {
   // Both thresholds compare against the W-hat known before this arrival:
   // on the serial path the scalar report below may broadcast a new W-hat
   // before the element check, which must not see it.
-  const double threshold = (eps_ / m) * site_west_[site];
+  const double threshold = (eps_ / m) * view(site);
 
   // Scalar (total-weight) report. With W-hat == 0 (bootstrap) the
   // threshold is 0 and the report happens immediately.
@@ -78,8 +77,7 @@ void P2Threshold::Apply(size_t, const P2Report& r) {
   coordinator_total_ += r.value;
   if (++scalar_msgs_since_broadcast_ >= num_sites()) {
     scalar_msgs_since_broadcast_ = 0;
-    Broadcast();
-    for (auto& w : site_west_) w = coordinator_total_;
+    Broadcast(coordinator_total_);
   }
 }
 

@@ -61,13 +61,21 @@ class P2Threshold : public HHProtocolCore<P2Threshold, P2Report> {
     return r.is_scalar ? stream::MessageCost{1, 0, 0}
                        : stream::MessageCost{0, 1, 0};
   }
+  template <typename IO, typename M>
+  static bool Fields(IO& io, M& r) {
+    return io.Field(r.is_scalar) && io.Field(r.value) &&
+           (r.is_scalar || io.Field(r.element));
+  }
+  // Both kinds report a positive weight.
+  DMT_UNTRUSTED_INPUT
+  bool Valid(const P2Report& r) const { return r.value > 0.0; }
   void SiteStep(size_t site, uint64_t element, double weight);
   void Apply(size_t site, const P2Report& r);
 
   double eps_;
   P2Options options_;
-  // Per-site state, SoA. The scalar-hot arrays (every site step reads
-  // and often writes both) are cache-line-aligned: with the driver's
+  // Per-site state, SoA. The scalar-hot array (every site step writes
+  // it) is cache-line-aligned: with the driver's
   // batch-reservation scheduler handing each worker a contiguous site
   // range, workers then touch disjoint line ranges except at the two
   // range boundaries. With bounded space, `site_summary_` replaces the
@@ -78,7 +86,6 @@ class P2Threshold : public HHProtocolCore<P2Threshold, P2Report> {
   // Bounded-space mode: cumulative weight already reported per element
   // (only elements that crossed the threshold ever get an entry).
   std::vector<std::unordered_map<uint64_t, double>> site_reported_;
-  CacheAlignedVector<double> site_west_;    // W-hat known at the site
   // Coordinator state.
   std::unordered_map<uint64_t, double> coordinator_weights_;
   double coordinator_total_ = 0.0;   // W-hat (grows with scalar reports)

@@ -17,9 +17,29 @@ size_t SampleSizeForEpsilon(double eps) {
   return static_cast<size_t>(std::max(8.0, std::ceil(s)));
 }
 
+std::vector<std::pair<uint64_t, double>> SampleHits(Rng* rng, double weight,
+                                                    double tau, size_t s) {
+  std::vector<std::pair<uint64_t, double>> hits;
+  // Success probability per sampler: P[rho >= tau] = min(1, w/tau).
+  const double p = std::min(1.0, weight / tau);
+  if (p <= 0.0) return hits;
+  // Geometric skips over the s samplers visit exactly the successes.
+  const auto skip = [&] {
+    return p >= 1.0 ? size_t{0}
+                    : static_cast<size_t>(std::log(rng->NextDoublePositive()) /
+                                          std::log(1.0 - p));
+  };
+  for (size_t t = skip(); t < s; t += 1 + skip()) {
+    // Priority conditioned on success: u ~ Unif(0, min(1, w/tau)].
+    const double u = rng->NextDoublePositive() * p;
+    hits.emplace_back(t, weight / u);
+  }
+  return hits;
+}
+
 P3SamplingWoR::P3SamplingWoR(size_t num_sites, double eps, uint64_t seed,
                              size_t sample_size)
-    : HHProtocolCore(num_sites),
+    : HHProtocolCore(num_sites, /*initial_view=*/1.0),
       s_(sample_size != 0 ? sample_size : SampleSizeForEpsilon(eps)),
       site_rngs_(MakeSiteRngs(num_sites, seed)) {
   q_cur_.reserve(s_ + 1);
@@ -31,42 +51,18 @@ void P3SamplingWoR::SiteStep(size_t site, uint64_t element, double weight) {
   DMT_CHECK_GT(weight, 0.0);
   sketch::PriorityEntry e{element, weight,
                           weight / site_rngs_[site].NextDoublePositive()};
-  // tau_ only moves at a drain; within a round every site compares
+  // The view only moves at a drain; within a round every site compares
   // against the threshold of the last broadcast, exactly like a real site
   // that has not yet seen the next one.
-  if (e.priority < tau_) return;  // not sampled; no message
+  if (e.priority < view(site)) return;  // not sampled; no message
   Emit(site, e);
 }
 
 void P3SamplingWoR::Apply(size_t, const sketch::PriorityEntry& e) {
-  // A message can arrive after tau doubled past it (sent before the
-  // broadcast of this round reached the site). The coordinator drops
-  // it: the pool invariant is "items with priority >= current tau".
-  if (e.priority < tau_) return;
-  if (e.priority >= 2.0 * tau_) {
-    q_next_.push_back(e);
-    EndRoundIfNeeded();
-  } else {
-    q_cur_.push_back(e);
-  }
-}
-
-void P3SamplingWoR::EndRoundIfNeeded() {
-  while (q_next_.size() >= s_) {
-    tau_ *= 2.0;
+  for (size_t n = PoolSampled(e, threshold(), s_, &q_cur_, &q_next_); n > 0;
+       --n) {
     tau_ever_doubled_ = true;
-    Broadcast();
-    // Q_cur is discarded; Q_next is re-partitioned against the new tau.
-    q_cur_.clear();
-    std::vector<sketch::PriorityEntry> promoted;
-    for (const auto& e : q_next_) {
-      if (e.priority >= 2.0 * tau_) {
-        promoted.push_back(e);
-      } else {
-        q_cur_.push_back(e);
-      }
-    }
-    q_next_ = std::move(promoted);
+    Broadcast(2.0 * threshold());
   }
 }
 
@@ -106,104 +102,38 @@ std::vector<uint64_t> P3SamplingWoR::TrackedElements() const {
 
 P3SamplingWR::P3SamplingWR(size_t num_sites, double eps, uint64_t seed,
                            size_t sample_size)
-    : HHProtocolCore(num_sites),
+    : HHProtocolCore(num_sites, /*initial_view=*/1.0),
       s_(sample_size != 0 ? sample_size : SampleSizeForEpsilon(eps)),
       site_rngs_(MakeSiteRngs(num_sites, seed)),
-      slots_(s_),
-      slots_below_2tau_(s_) {}
+      slots_(s_) {}
 
 void P3SamplingWR::SiteStep(size_t site, uint64_t element, double weight) {
   DMT_CHECK_LT(site, site_rngs_.size());
   DMT_CHECK_GT(weight, 0.0);
-  Rng& rng = site_rngs_[site];
-  // Success probability per sampler: P[rho >= tau] = min(1, w/tau), with
-  // tau the last broadcast threshold the site knows.
-  const double p = std::min(1.0, weight / tau_);
-  if (p <= 0.0) return;
-
-  // Geometric skips over the s samplers: visit exactly the successes.
-  size_t t;
-  if (p >= 1.0) {
-    t = 0;
-  } else {
-    t = static_cast<size_t>(std::log(rng.NextDoublePositive()) /
-                            std::log(1.0 - p));
-  }
-  P3Sends sends{element, weight, {}};
-  while (t < s_) {
-    // Priority conditioned on success: u ~ Unif(0, min(1, w/tau)].
-    const double u = rng.NextDoublePositive() * p;
-    sends.hits.emplace_back(t, weight / u);
-    if (p >= 1.0) {
-      ++t;
-    } else {
-      t += 1 + static_cast<size_t>(std::log(rng.NextDoublePositive()) /
-                                   std::log(1.0 - p));
-    }
-  }
+  P3Sends sends{element, weight,
+                SampleHits(&site_rngs_[site], weight, view(site), s_)};
   if (!sends.hits.empty()) Emit(site, std::move(sends));
 }
 
-void P3SamplingWR::ApplySlotUpdate(size_t t, uint64_t element, double weight,
-                                   double rho) {
-  Slot& slot = slots_[t];
-  if (rho > slot.top.priority) {
-    const double old_second = slot.second_priority;
-    slot.second_priority = slot.top.priority;
-    slot.top = sketch::PriorityEntry{element, weight, rho};
-    if (old_second <= 2.0 * tau_ && slot.second_priority > 2.0 * tau_) {
-      --slots_below_2tau_;
-    }
-  } else if (rho > slot.second_priority) {
-    if (slot.second_priority <= 2.0 * tau_ && rho > 2.0 * tau_) {
-      --slots_below_2tau_;
-    }
-    slot.second_priority = rho;
-  }
-}
-
 void P3SamplingWR::Apply(size_t, const P3Sends& sends) {
-  for (const auto& [t, rho] : sends.hits) {
-    ApplySlotUpdate(t, sends.element, sends.weight, rho);
-  }
-  // One round check per element, matching the per-element serial
-  // schedule (a batch of hits for one element ends with one check).
-  EndRoundIfNeeded();
-}
-
-void P3SamplingWR::EndRoundIfNeeded() {
-  while (slots_below_2tau_ == 0) {
-    tau_ *= 2.0;
-    Broadcast();
-    slots_below_2tau_ = 0;
-    for (const Slot& slot : slots_) {
-      if (slot.second_priority <= 2.0 * tau_) ++slots_below_2tau_;
-    }
+  for (size_t n = slots_.Offer(sends.hits, Item{sends.element, sends.weight},
+                               broadcast_value());
+       n > 0; --n) {
+    Broadcast(2.0 * broadcast_value());
   }
 }
 
 double P3SamplingWR::EstimateTotalWeight() const {
-  // Each second-highest priority is an unbiased estimator of W.
-  double sum = 0.0;
-  size_t live = 0;
-  for (const Slot& slot : slots_) {
-    if (slot.top.priority > 0.0) {
-      sum += slot.second_priority;
-      ++live;
-    }
-  }
-  return live == 0 ? 0.0 : sum / static_cast<double>(live);
+  size_t live;
+  return slots_.MeanSecond(&live);
 }
 
 double P3SamplingWR::EstimateElementWeight(uint64_t element) const {
-  const double what = EstimateTotalWeight();
+  size_t live;
+  const double what = slots_.MeanSecond(&live);
   size_t hits = 0;
-  size_t live = 0;
-  for (const Slot& slot : slots_) {
-    if (slot.top.priority > 0.0) {
-      ++live;
-      if (slot.top.element == element) ++hits;
-    }
+  for (const auto& slot : slots_.slots()) {
+    if (slot.top > 0.0 && slot.item.element == element) ++hits;
   }
   if (live == 0) return 0.0;
   return what * static_cast<double>(hits) / static_cast<double>(live);
@@ -211,8 +141,8 @@ double P3SamplingWR::EstimateElementWeight(uint64_t element) const {
 
 std::vector<uint64_t> P3SamplingWR::TrackedElements() const {
   std::unordered_set<uint64_t> seen;
-  for (const Slot& slot : slots_) {
-    if (slot.top.priority > 0.0) seen.insert(slot.top.element);
+  for (const auto& slot : slots_.slots()) {
+    if (slot.top > 0.0) seen.insert(slot.item.element);
   }
   // dmt-lint: allow(determinism-unordered-iter): drained into a vector and
   // sorted below so callers observe a replay-stable order.

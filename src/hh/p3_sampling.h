@@ -35,6 +35,115 @@ namespace hh {
 /// Returns the paper's sample size s = Theta((1/eps^2) log(1/eps)).
 size_t SampleSizeForEpsilon(double eps);
 
+/// Coordinator half of the without-replacement samplers (P3wor, MP3wor):
+/// pools `entry` into Q_cur (tau <= rho < 2 tau) or Q_next (rho >= 2 tau),
+/// or drops it if tau already passed it (sent before the round's broadcast
+/// arrived). Each time |Q_next| reaches `s`, tau doubles: Q_cur is dropped
+/// and Q_next re-partitioned. Returns the number of doublings.
+template <typename Entry>
+size_t PoolSampled(Entry entry, double tau, size_t s,
+                   std::vector<Entry>* q_cur, std::vector<Entry>* q_next) {
+  if (entry.priority < tau) return 0;
+  if (entry.priority < 2.0 * tau) {
+    q_cur->push_back(std::move(entry));
+    return 0;
+  }
+  q_next->push_back(std::move(entry));
+  size_t doublings = 0;
+  for (; q_next->size() >= s; ++doublings) {
+    tau *= 2.0;
+    q_cur->clear();
+    std::vector<Entry> promoted;
+    for (Entry& e : *q_next) {
+      (e.priority >= 2.0 * tau ? promoted : *q_cur).push_back(std::move(e));
+    }
+    *q_next = std::move(promoted);
+  }
+  return doublings;
+}
+
+/// Site half of the with-replacement samplers (P3wr, MP3wr): the
+/// (sampler, priority) successes of an arrival among `s` samplers,
+/// visited with geometric skips.
+std::vector<std::pair<uint64_t, double>> SampleHits(Rng* rng, double weight,
+                                                    double tau, size_t s);
+
+/// Coordinator half of the with-replacement samplers (P3wr, MP3wr): s
+/// independent samplers, each holding the item of its top priority and
+/// its second-highest priority. A round ends when every second priority
+/// exceeds 2 tau; tau then doubles.
+template <typename Item>
+class SamplerSlots {
+ public:
+  struct Slot {
+    Item item{};
+    double top = 0.0;     // top priority; 0 while the sampler is empty
+    double second = 0.0;  // second-highest priority
+  };
+
+  explicit SamplerSlots(size_t s) : slots_(s), below_2tau_(s) {}
+
+  /// Offers one arrival's hits against threshold `tau`, then checks the
+  /// round once (the per-arrival serial schedule). Returns the number of
+  /// times tau doubles, each of which the caller broadcasts.
+  size_t Offer(const std::vector<std::pair<uint64_t, double>>& hits,
+               const Item& item, double tau) {
+    for (const auto& [t, rho] : hits) {
+      Slot& slot = slots_[t];
+      const double second = slot.second;
+      if (rho > slot.top) {
+        slot.second = slot.top;
+        slot.top = rho;
+        slot.item = item;
+      } else if (rho > second) {
+        slot.second = rho;
+      }
+      if (second <= 2.0 * tau && slot.second > 2.0 * tau) --below_2tau_;
+    }
+    size_t doublings = 0;
+    for (; below_2tau_ == 0; ++doublings) {
+      tau *= 2.0;
+      for (const Slot& slot : slots_) {
+        if (slot.second <= 2.0 * tau) ++below_2tau_;
+      }
+    }
+    return doublings;
+  }
+
+  /// The mean second priority over the non-empty samplers (each is an
+  /// unbiased estimate of the total weight W); 0 while all are empty.
+  /// `*live` receives the number of non-empty samplers.
+  double MeanSecond(size_t* live) const {
+    double sum = 0.0;
+    *live = 0;
+    for (const Slot& slot : slots_) {
+      if (slot.top > 0.0) {
+        sum += slot.second;
+        ++*live;
+      }
+    }
+    return *live == 0 ? 0.0 : sum / static_cast<double>(*live);
+  }
+
+  const std::vector<Slot>& slots() const { return slots_; }
+
+  /// Wire domain of one arrival's batch: a positive weight and at least
+  /// one hit, each naming a sampler and carrying a positive priority.
+  bool Accepts(double weight,
+               const std::vector<std::pair<uint64_t, double>>& hits) const {
+    if (!(weight > 0.0) || hits.empty()) return false;
+    for (const auto& [t, rho] : hits) {
+      if (t >= slots_.size() || !(rho > 0.0)) return false;
+    }
+    return true;
+  }
+
+ private:
+  std::vector<Slot> slots_;
+  size_t below_2tau_;  // samplers whose second priority is <= 2 tau
+};
+
+
 /// Without-replacement sampling protocol (P3wor).
 class P3SamplingWoR
     : public HHProtocolCore<P3SamplingWoR, sketch::PriorityEntry> {
@@ -49,7 +158,8 @@ class P3SamplingWoR
   std::vector<uint64_t> TrackedElements() const override;
 
   size_t sample_size() const { return s_; }
-  double threshold() const { return tau_; }
+  /// The coordinator's threshold tau, the last value it broadcast.
+  double threshold() const { return broadcast_value(); }
   size_t pool_size() const { return q_cur_.size() + q_next_.size(); }
 
  private:
@@ -59,9 +169,17 @@ class P3SamplingWoR
   static stream::MessageCost Cost(const sketch::PriorityEntry&) {
     return stream::MessageCost{0, 1, 0};
   }
+  template <typename IO, typename M>
+  static bool Fields(IO& io, M& e) {
+    return io.Field(e.element) && io.Field(e.weight) &&
+           io.Field(e.priority);
+  }
+  DMT_UNTRUSTED_INPUT
+  bool Valid(const sketch::PriorityEntry& e) const {
+    return e.weight > 0.0 && e.priority > 0.0;
+  }
   void SiteStep(size_t site, uint64_t element, double weight);
   void Apply(size_t site, const sketch::PriorityEntry& e);
-  void EndRoundIfNeeded();
   /// Current adjusted sample (exact weights while still in round 1).
   std::vector<sketch::PriorityEntry> CurrentSample() const;
 
@@ -69,7 +187,6 @@ class P3SamplingWoR
   // One private generator per site (seed = base ⊕ site), so sites draw
   // priorities independently and may run on concurrent threads.
   std::vector<Rng> site_rngs_;
-  double tau_ = 1.0;
   bool tau_ever_doubled_ = false;
   std::vector<sketch::PriorityEntry> q_cur_;
   std::vector<sketch::PriorityEntry> q_next_;
@@ -81,7 +198,7 @@ class P3SamplingWoR
 struct P3Sends {
   uint64_t element;
   double weight;
-  std::vector<std::pair<size_t, double>> hits;
+  std::vector<std::pair<uint64_t, double>> hits;
 };
 
 /// With-replacement sampling protocol (P3wr).
@@ -100,26 +217,30 @@ class P3SamplingWR : public HHProtocolCore<P3SamplingWR, P3Sends> {
  private:
   friend Core;
 
-  struct Slot {
-    sketch::PriorityEntry top;
-    double second_priority = 0.0;
+  struct Item {
+    uint64_t element;
+    double weight;
   };
 
   static stream::MessageCost Cost(const P3Sends& sends) {
     return stream::MessageCost{0, sends.hits.size(), 0};
   }
+  template <typename IO, typename M>
+  static bool Fields(IO& io, M& sends) {
+    return io.Field(sends.element) && io.Field(sends.weight) &&
+           io.Field(sends.hits);
+  }
+  DMT_UNTRUSTED_INPUT
+  bool Valid(const P3Sends& sends) const {
+    return slots_.Accepts(sends.weight, sends.hits);
+  }
   void SiteStep(size_t site, uint64_t element, double weight);
   void Apply(size_t site, const P3Sends& sends);
-  void ApplySlotUpdate(size_t t, uint64_t element, double weight,
-                       double rho);
-  void EndRoundIfNeeded();
 
   size_t s_;
   // One private generator per site (seed = base ⊕ site); see P3SamplingWoR.
   std::vector<Rng> site_rngs_;
-  double tau_ = 1.0;
-  std::vector<Slot> slots_;
-  size_t slots_below_2tau_ = 0;  // count of slots with second <= 2 tau
+  SamplerSlots<Item> slots_;
 };
 
 }  // namespace hh

@@ -22,8 +22,7 @@ P4Randomized::P4Randomized(size_t num_sites, double eps, uint64_t seed,
   DMT_CHECK_LE(eps, 1.0);
 }
 
-double P4Randomized::CurrentP() const {
-  const double what = weight_tracker_.EstimateAtSites();
+double P4Randomized::SendParameter(double what) const {
   if (what <= 0.0) return std::numeric_limits<double>::infinity();
   const double m = static_cast<double>(num_sites());
   return 2.0 * std::sqrt(m) / (eps_ * what);
@@ -35,12 +34,13 @@ void P4Randomized::SiteStep(size_t site, uint64_t element, double weight) {
   // On the serial path this report lands at the coordinator at once, so a
   // broadcast it triggers already lowers the send probability for this
   // very arrival; in a window the site keeps the last broadcast W-hat.
-  const double amount = weight_tracker_.SitePendingReport(site, weight);
+  const double amount =
+      weight_tracker_.SitePendingReport(site, weight, view(site));
   if (amount > 0.0) Emit(site, P4Report{true, amount, 0, 0});
 
   double& tally = site_tally_[site][element];
   tally += weight;
-  const double p = CurrentP();
+  const double p = SendParameter(view(site));
   const double send_prob =
       std::isinf(p) ? 1.0 : 1.0 - std::exp(-p * weight);
   // Each copy flips its own coin (all from the site's private generator);
@@ -56,14 +56,14 @@ void P4Randomized::Apply(size_t site, const P4Report& r) {
   if (!r.is_weight_report) {
     reported_[r.copy][r.element][site] = r.value;
   } else if (weight_tracker_.ApplyReport(r.value)) {
-    Broadcast();
+    Broadcast(weight_tracker_.broadcast_estimate());
   }
 }
 
 double P4Randomized::CopyEstimate(size_t copy, uint64_t element) const {
   auto it = reported_[copy].find(element);
   if (it == reported_[copy].end()) return 0.0;
-  const double p = CurrentP();
+  const double p = SendParameter(broadcast_value());
   const double correction = std::isinf(p) ? 0.0 : 1.0 / p;
   double sum = 0.0;
   // Ordered map: the site-by-site FP summation order is replay-stable.

@@ -33,7 +33,7 @@ namespace hh {
 struct P4Report {
   bool is_weight_report;
   double value;
-  size_t copy;
+  uint64_t copy;
   uint64_t element;
 };
 
@@ -61,12 +61,22 @@ class P4Randomized : public HHProtocolCore<P4Randomized, P4Report> {
     return r.is_weight_report ? stream::MessageCost{1, 0, 0}
                               : stream::MessageCost{0, 1, 0};
   }
+  template <typename IO, typename M>
+  static bool Fields(IO& io, M& r) {
+    return io.Field(r.is_weight_report) && io.Field(r.value) &&
+           (r.is_weight_report || (io.Field(r.copy) && io.Field(r.element)));
+  }
+  // Reported amounts and tallies are positive; a tally names a copy.
+  DMT_UNTRUSTED_INPUT
+  bool Valid(const P4Report& r) const {
+    return r.value > 0.0 && (r.is_weight_report || r.copy < reported_.size());
+  }
   void SiteStep(size_t site, uint64_t element, double weight);
   void Apply(size_t site, const P4Report& r);
 
-  /// Current send probability parameter p = 2 sqrt(m) / (eps W-hat);
-  /// infinite (send always) before bootstrap.
-  double CurrentP() const;
+  /// Send probability parameter p = 2 sqrt(m) / (eps W-hat) for the
+  /// estimate `what`; infinite (send always) before bootstrap.
+  double SendParameter(double what) const;
 
   /// Estimate of one independent copy.
   double CopyEstimate(size_t copy, uint64_t element) const;

@@ -8,7 +8,8 @@ namespace hh {
 TotalWeightTracker::TotalWeightTracker(size_t num_sites)
     : unreported_(num_sites, 0.0) {}
 
-double TotalWeightTracker::SitePendingReport(size_t site, double weight) {
+double TotalWeightTracker::SitePendingReport(size_t site, double weight,
+                                             double site_estimate) {
   DMT_CHECK_LT(site, unreported_.size());
   DMT_CHECK_GE(weight, 0.0);
   unreported_[site] += weight;
@@ -16,7 +17,7 @@ double TotalWeightTracker::SitePendingReport(size_t site, double weight) {
   const double m = static_cast<double>(unreported_.size());
   // Bootstrap: before any broadcast every observation is reported so the
   // estimate becomes positive immediately.
-  const double report_threshold = broadcast_estimate_ / (2.0 * m);
+  const double report_threshold = site_estimate / (2.0 * m);
   if (unreported_[site] < report_threshold || unreported_[site] == 0.0) {
     return 0.0;
   }

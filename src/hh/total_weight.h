@@ -8,13 +8,11 @@
 // reported weight grows by a factor 1.5. Deterministic argument:
 //   W <= W_C + m * (W-hat / 2m) <= 1.5*W-hat + 0.5*W-hat = 2*W-hat.
 //
-// The site half (SitePendingReport) and coordinator half (ApplyReport) are
-// split so owning protocols can defer delivery to a synchronization round:
-// SitePendingReport touches only per-site state and the
-// (stable-between-rounds) broadcast estimate, so it may run concurrently
-// for distinct sites. The tracker counts no messages: the owner ships the
-// reported amount as its own scalar message and counts the broadcast
-// ApplyReport signals.
+// The site half (SitePendingReport) touches only per-site state and the
+// estimate the site last received, so it may run concurrently for distinct
+// sites; the coordinator half (ApplyReport) runs at delivery. The tracker
+// counts no messages: the owner ships each reported amount as a scalar
+// message and broadcasts the new estimate when ApplyReport signals it.
 #ifndef DMT_HH_TOTAL_WEIGHT_H_
 #define DMT_HH_TOTAL_WEIGHT_H_
 
@@ -31,18 +29,19 @@ class TotalWeightTracker {
   explicit TotalWeightTracker(size_t num_sites);
 
   /// Site half: folds `weight` into the site's unreported mass; when the
-  /// report threshold crosses, returns the amount to report (the site
+  /// report threshold against `site_estimate` (the broadcast estimate the
+  /// site last received) crosses, returns the amount to report (the site
   /// resets). Returns 0.0 when no report fires. Safe to call concurrently
-  /// for distinct sites between ApplyReport batches.
-  double SitePendingReport(size_t site, double weight);
+  /// for distinct sites.
+  double SitePendingReport(size_t site, double weight, double site_estimate);
 
-  /// Coordinator half: folds a reported amount into the exact tally and
-  /// re-broadcasts when it grew enough. Returns true on broadcast. Must
-  /// not run concurrently with SitePendingReport.
+  /// Coordinator half: folds a reported amount (> 0) into the exact tally
+  /// and re-broadcasts when it grew enough. Returns true when the owner
+  /// must broadcast broadcast_estimate().
   bool ApplyReport(double amount);
 
-  /// Site-visible estimate: W-hat <= W <= 2*W-hat once bootstrapped.
-  double EstimateAtSites() const { return broadcast_estimate_; }
+  /// The last estimate broadcast: W-hat <= W <= 2*W-hat once bootstrapped.
+  double broadcast_estimate() const { return broadcast_estimate_; }
 
   /// Coordinator's exact tally of reported weight (a lower bound on W).
   double coordinator_weight() const { return coordinator_weight_; }

@@ -26,6 +26,12 @@ class ForwardAllRows
   static stream::MessageCost Cost(const std::vector<double>&) {
     return stream::MessageCost{0, 0, 1};
   }
+  template <typename IO, typename M>
+  static bool Fields(IO& io, M& row) {
+    return io.Row(row);
+  }
+  // Any finite row of the run's width (the reader checks both).
+  bool Valid(const std::vector<double>&) const { return true; }
   void SiteStep(size_t site, const std::vector<double>& row) {
     this->Emit(site, row);
   }

@@ -37,7 +37,6 @@ MP1BatchedFD::MP1BatchedFD(size_t num_sites, double eps)
         sketch::FrequentDirections::WithEpsilon(eps / 2));
   }
   site_frob_.assign(num_sites, 0.0);
-  site_fest_.assign(num_sites, 0.0);
 }
 
 void MP1BatchedFD::ProcessRow(size_t site, const std::vector<double>& row) {
@@ -56,9 +55,9 @@ void MP1BatchedFD::SiteStep(size_t site, const std::vector<double>& row) {
   site_frob_[site] += mass;
 
   const double m = static_cast<double>(num_sites());
-  // site_fest_ is the F-hat of the last broadcast the site has seen; it
-  // only changes at a drain, so this read is round-stable.
-  const double tau = (eps_ / (2.0 * m)) * site_fest_[site];
+  // The F-hat of the last broadcast the site has seen; it only changes at
+  // a drain, so this read is round-stable.
+  const double tau = (eps_ / (2.0 * m)) * view(site);
   if (site_frob_[site] < tau) return;
   Emit(site, MP1Flush{sk.sketch().Row(0), sk.rows(), sk.sketch().cols(),
                       site_frob_[site]});
@@ -69,13 +68,31 @@ void MP1BatchedFD::SiteStep(size_t site, const std::vector<double>& row) {
 DMT_NO_ALLOC
 void MP1BatchedFD::Apply(size_t, const MP1Flush& flush) {
   coordinator_frob_ += flush.frob;
-  if (broadcast_frob_ == 0.0 ||
-      coordinator_frob_ / broadcast_frob_ > 1.0 + eps_ / 2.0) {
-    broadcast_frob_ = coordinator_frob_;
-    Broadcast();
-    for (auto& f : site_fest_) f = broadcast_frob_;
+  const double fest = broadcast_value();
+  if (fest == 0.0 || coordinator_frob_ / fest > 1.0 + eps_ / 2.0) {
+    Broadcast(coordinator_frob_);
   }
   StageRows(flush);
+}
+
+void MP1BatchedFD::Encode(const MP1Flush& f, ByteWriter* w) {
+  w->Put<double>(f.frob);
+  w->Put<uint32_t>(static_cast<uint32_t>(f.count));
+  w->Put<uint32_t>(static_cast<uint32_t>(f.cols));
+  w->PutBytes(f.rows, f.count * f.cols * sizeof(double));
+}
+
+DMT_UNTRUSTED_INPUT
+bool MP1BatchedFD::Decode(ByteReader* r, MP1WireFlush* f) const {
+  f->frob = r->Get<double>();
+  f->count = r->Get<uint32_t>();
+  f->cols = r->Get<uint32_t>();
+  if (!r->ok() || !(f->frob > 0.0) || f->cols != r->row_width() ||
+      f->cols == 0 || f->count > r->remaining() / (f->cols * sizeof(double))) {
+    return false;
+  }
+  f->rows.resize(f->count * f->cols);
+  return r->GetDoubles(f->rows.data(), f->rows.size());
 }
 
 DMT_ALLOC_OK("grows the staging matrix only past the largest drain so far; later drains reuse its capacity")

@@ -53,6 +53,16 @@ struct MP1Flush {
   double frob;
 };
 
+/// An MP1 flush decoded off the wire: owns its rows (a buffer the wire
+/// adapter reuses across frames) and converts to the view Apply takes.
+struct MP1WireFlush {
+  std::vector<double> rows;
+  size_t count = 0;
+  size_t cols = 0;
+  double frob = 0.0;
+  operator MP1Flush() const { return MP1Flush{rows.data(), count, cols, frob}; }
+};
+
 /// A site's queued flushes, flat: every flushed sketch's rows back to
 /// back, and each flush's row end and F_i. Cleared, not freed, by the
 /// drain, so a flush allocates nothing once the buffers have grown.
@@ -84,6 +94,8 @@ class MP1BatchedFD
 
   double coordinator_frobenius() const { return coordinator_frob_; }
 
+  using WireMsg = MP1WireFlush;
+
  private:
   friend Core;
 
@@ -94,6 +106,10 @@ class MP1BatchedFD
     return f.count == 0 ? stream::MessageCost{1, 0, 0}
                         : stream::MessageCost{0, 0, f.count};
   }
+  // Wire layout: F_i, the row count, the row width, then the rows.
+  // Decode accepts only rows of the run's width and a positive F_i.
+  static void Encode(const MP1Flush& f, ByteWriter* w);
+  bool Decode(ByteReader* r, MP1WireFlush* f) const;
   void SiteStep(size_t site, const std::vector<double>& row);
   // F_C and the F-hat broadcast test; rows staged into drained_rows_.
   void Apply(size_t site, const MP1Flush& flush);
@@ -107,11 +123,9 @@ class MP1BatchedFD
   double eps_;
   std::vector<sketch::FrequentDirections> site_sketches_;
   std::vector<double> site_frob_;   // F_i since last flush
-  std::vector<double> site_fest_;   // F-hat as known by each site
   linalg::Matrix drained_rows_;     // rows of the flushes drained so far
   sketch::FrequentDirections coordinator_sketch_;
   double coordinator_frob_ = 0.0;   // F_C
-  double broadcast_frob_ = 0.0;     // last broadcast F-hat
 };
 
 }  // namespace matrix

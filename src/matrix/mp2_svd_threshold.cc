@@ -41,7 +41,7 @@ void MP2SvdThreshold::SiteStep(size_t site, const std::vector<double>& row) {
   SiteState& st = sites_[site];
   const double m = static_cast<double>(num_sites());
   st.scalar_counter += w;
-  if (st.scalar_counter >= (eps_ / m) * st.fest) {
+  if (st.scalar_counter >= (eps_ / m) * view(site)) {
     Emit(site, MP2Msg{true, st.scalar_counter, {}});
     st.scalar_counter = 0.0;
   }
@@ -68,14 +68,8 @@ void MP2SvdThreshold::Apply(size_t, const MP2Msg& msg) {
   coord_fest_ += msg.value;
   if (++scalar_msgs_since_broadcast_ >= num_sites()) {
     scalar_msgs_since_broadcast_ = 0;
-    Broadcast();
-    for (auto& s : sites_) s.fest = coord_fest_;
+    Broadcast(coord_fest_);
   }
-}
-
-void MP2SvdThreshold::SetSiteFest(size_t site, double fest) {
-  DMT_CHECK_LT(site, sites_.size());
-  sites_[site].fest = fest;
 }
 
 void MP2SvdThreshold::ElementPhase(size_t site,
@@ -83,7 +77,7 @@ void MP2SvdThreshold::ElementPhase(size_t site,
                                    double w) {
   SiteState& st = sites_[site];
   const double m = static_cast<double>(num_sites());
-  const double threshold = (eps_ / m) * st.fest;
+  const double threshold = (eps_ / m) * view(site);
   if (threshold <= 0.0) {
     // Bootstrap: B_j is flushed every row, so the pending matrix is rank-1
     // and its only singular direction is the row itself. Ship it directly.
@@ -112,7 +106,7 @@ void MP2SvdThreshold::ElementPhase(size_t site,
 void MP2SvdThreshold::MaybeSendDirections(size_t site) {
   SiteState& st = sites_[site];
   const double m = static_cast<double>(num_sites());
-  const double threshold = (eps_ / m) * st.fest;
+  const double threshold = (eps_ / m) * view(site);
   decompositions_.fetch_add(1, std::memory_order_relaxed);
   const size_t d = dim_;
 

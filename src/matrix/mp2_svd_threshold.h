@@ -53,10 +53,10 @@ namespace matrix {
 /// One MP2 site->coordinator message: either a total-mass scalar report
 /// (value = F_j) or a shipped direction (value = lambda, dir = v; the
 /// coordinator appends sqrt(lambda) v to B, i.e. adds lambda * v v^T to
-/// its Gram). Public because the wire transport (src/net) serializes it.
+/// its Gram).
 struct MP2Msg {
-  bool is_scalar;
-  double value;
+  bool is_scalar = true;
+  double value = 0.0;
   std::vector<double> dir;
 };
 
@@ -78,19 +78,6 @@ class MP2SvdThreshold : public MatrixProtocolCore<MP2SvdThreshold, MP2Msg> {
     return decompositions_.load(std::memory_order_relaxed);
   }
 
-  // --- Wire-transport hooks (src/net), beside the core's TakeOutbox and
-  // Deliver.
-
-  /// F-hat as of the last broadcast (0 before the first) — the value the
-  /// coordinator pushes down to sites at a window boundary.
-  double last_broadcast_fest() const {
-    return sites_.empty() ? 0.0 : sites_[0].fest;
-  }
-  /// Installs a received F-hat broadcast into one site's view.
-  void SetSiteFest(size_t site, double fest);
-  /// Row dimension (0 until the first row or delivered direction).
-  size_t dim() const { return dim_; }
-
  private:
   friend Core;
 
@@ -104,7 +91,6 @@ class MP2SvdThreshold : public MatrixProtocolCore<MP2SvdThreshold, MP2Msg> {
     double trace = 0.0;         // trace(gram) maintained incrementally
     double next_check = 0.0;    // no threshold check before this trace
     double scalar_counter = 0.0;// F_j for total-mass reports
-    double fest = 0.0;          // F-hat as known by the site
     // Warm start and solver scratch; per-site so the concurrent
     // site phase never shares mutable state across sites.
     std::vector<double> seed;   // previous check's leading eigenvector
@@ -116,6 +102,17 @@ class MP2SvdThreshold : public MatrixProtocolCore<MP2SvdThreshold, MP2Msg> {
   static stream::MessageCost Cost(const MP2Msg& msg) {
     return msg.is_scalar ? stream::MessageCost{1, 0, 0}
                          : stream::MessageCost{0, 0, 1};
+  }
+  template <typename IO, typename M>
+  static bool Fields(IO& io, M& msg) {
+    return io.Field(msg.is_scalar) && io.Field(msg.value) &&
+           (msg.is_scalar || io.Row(msg.dir));
+  }
+  // A mass report is non-negative (a zero row reports 0 at bootstrap); a
+  // shipped direction's lambda is positive.
+  DMT_UNTRUSTED_INPUT
+  bool Valid(const MP2Msg& msg) const {
+    return msg.is_scalar ? msg.value >= 0.0 : msg.value > 0.0;
   }
   void SiteStep(size_t site, const std::vector<double>& row);
   void Apply(size_t site, const MP2Msg& msg);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "hh/p3_sampling.h"  // SampleSizeForEpsilon
 #include "linalg/vec_ops.h"
 #include "util/check.h"
 
@@ -11,7 +10,7 @@ namespace dmt {
 namespace matrix {
 MP3SamplingWoR::MP3SamplingWoR(size_t num_sites, double eps, uint64_t seed,
                                size_t sample_size)
-    : MatrixProtocolCore(num_sites),
+    : MatrixProtocolCore(num_sites, /*initial_view=*/1.0),
       s_(sample_size != 0 ? sample_size : hh::SampleSizeForEpsilon(eps)),
       site_rngs_(MakeSiteRngs(num_sites, seed)) {}
 
@@ -20,40 +19,18 @@ void MP3SamplingWoR::SiteStep(size_t site, const std::vector<double>& row) {
   const double w = linalg::SquaredNorm(row);
   if (w <= 0.0) return;  // zero rows carry no covariance mass
   const double rho = w / site_rngs_[site].NextDoublePositive();
-  // tau_ only moves at a drain; within a round every site compares
+  // The view only moves at a drain; within a round every site compares
   // against the threshold of the last broadcast it has seen.
-  if (rho < tau_) return;
+  if (rho < view(site)) return;
   Emit(site, MP3SampledRow{row, w, rho});
 }
 
 void MP3SamplingWoR::Apply(size_t, MP3SampledRow& sr) {
-  // Rows can arrive after tau doubled past their priority (sent before
-  // this round's broadcast reached the site); the coordinator drops
-  // them to keep the pool invariant "priority >= current tau".
-  if (sr.priority < tau_) return;
-  if (sr.priority >= 2.0 * tau_) {
-    q_next_.push_back(std::move(sr));
-    EndRoundIfNeeded();
-  } else {
-    q_cur_.push_back(std::move(sr));
-  }
-}
-
-void MP3SamplingWoR::EndRoundIfNeeded() {
-  while (q_next_.size() >= s_) {
-    tau_ *= 2.0;
+  for (size_t n = hh::PoolSampled(std::move(sr), threshold(), s_, &q_cur_,
+                                  &q_next_);
+       n > 0; --n) {
     tau_ever_doubled_ = true;
-    Broadcast();
-    q_cur_.clear();
-    std::vector<MP3SampledRow> promoted;
-    for (auto& e : q_next_) {
-      if (e.priority >= 2.0 * tau_) {
-        promoted.push_back(std::move(e));
-      } else {
-        q_cur_.push_back(std::move(e));
-      }
-    }
-    q_next_ = std::move(promoted);
+    Broadcast(2.0 * threshold());
   }
 }
 
@@ -96,77 +73,28 @@ linalg::Matrix MP3SamplingWoR::CoordinatorSketch() const {
 
 MP3SamplingWR::MP3SamplingWR(size_t num_sites, double eps, uint64_t seed,
                              size_t sample_size)
-    : MatrixProtocolCore(num_sites),
+    : MatrixProtocolCore(num_sites, /*initial_view=*/1.0),
       s_(sample_size != 0 ? sample_size : hh::SampleSizeForEpsilon(eps)),
       site_rngs_(MakeSiteRngs(num_sites, seed)),
-      slots_(s_),
-      slots_below_2tau_(s_) {}
+      slots_(s_) {}
 
 void MP3SamplingWR::SiteStep(size_t site, const std::vector<double>& row) {
   DMT_CHECK_LT(site, site_rngs_.size());
   const double w = linalg::SquaredNorm(row);
   if (w <= 0.0) return;
-  Rng& rng = site_rngs_[site];
-  const double p = std::min(1.0, w / tau_);
-  size_t t;
-  if (p >= 1.0) {
-    t = 0;
-  } else {
-    t = static_cast<size_t>(std::log(rng.NextDoublePositive()) /
-                            std::log(1.0 - p));
-  }
-  MP3Sends sends{{}, w, {}};
-  while (t < s_) {
-    const double u = rng.NextDoublePositive() * p;
-    sends.hits.emplace_back(t, w / u);
-    if (p >= 1.0) {
-      ++t;
-    } else {
-      t += 1 + static_cast<size_t>(std::log(rng.NextDoublePositive()) /
-                                   std::log(1.0 - p));
-    }
-  }
+  MP3Sends sends{{}, w,
+                 hh::SampleHits(&site_rngs_[site], w, view(site), s_)};
   if (sends.hits.empty()) return;
   sends.row = row;
   Emit(site, std::move(sends));
 }
 
-void MP3SamplingWR::ApplySlotUpdate(size_t t, const std::vector<double>& row,
-                                    double weight, double rho) {
-  Slot& slot = slots_[t];
-  if (rho > slot.top_priority) {
-    const double old_second = slot.second_priority;
-    slot.second_priority = slot.top_priority;
-    slot.row = row;
-    slot.weight = weight;
-    slot.top_priority = rho;
-    if (old_second <= 2.0 * tau_ && slot.second_priority > 2.0 * tau_) {
-      --slots_below_2tau_;
-    }
-  } else if (rho > slot.second_priority) {
-    if (slot.second_priority <= 2.0 * tau_ && rho > 2.0 * tau_) {
-      --slots_below_2tau_;
-    }
-    slot.second_priority = rho;
-  }
-}
-
-void MP3SamplingWR::Apply(size_t, const MP3Sends& sends) {
-  for (const auto& [t, rho] : sends.hits) {
-    ApplySlotUpdate(t, sends.row, sends.weight, rho);
-  }
-  // One round check per row, matching the per-row serial schedule.
-  EndRoundIfNeeded();
-}
-
-void MP3SamplingWR::EndRoundIfNeeded() {
-  while (slots_below_2tau_ == 0) {
-    tau_ *= 2.0;
-    Broadcast();
-    slots_below_2tau_ = 0;
-    for (const Slot& slot : slots_) {
-      if (slot.second_priority <= 2.0 * tau_) ++slots_below_2tau_;
-    }
+void MP3SamplingWR::Apply(size_t, MP3Sends& sends) {
+  for (size_t n = slots_.Offer(sends.hits, Item{std::move(sends.row),
+                                                sends.weight},
+                               broadcast_value());
+       n > 0; --n) {
+    Broadcast(2.0 * broadcast_value());
   }
 }
 
@@ -174,21 +102,14 @@ linalg::Matrix MP3SamplingWR::CoordinatorSketch() const {
   // W-hat = mean of the per-sampler second priorities (unbiased for W);
   // each sampled row is rescaled to carry exactly W-hat/s squared norm.
   linalg::Matrix b;
-  double sum_second = 0.0;
-  size_t live = 0;
-  for (const Slot& slot : slots_) {
-    if (slot.top_priority > 0.0) {
-      sum_second += slot.second_priority;
-      ++live;
-    }
-  }
+  size_t live;
+  const double what = slots_.MeanSecond(&live);
   if (live == 0) return b;
-  const double what = sum_second / static_cast<double>(live);
   const double target = what / static_cast<double>(live);
-  for (const Slot& slot : slots_) {
-    if (slot.top_priority <= 0.0) continue;
-    std::vector<double> scaled = slot.row;
-    linalg::Scale(std::sqrt(target / slot.weight), scaled.data(),
+  for (const auto& slot : slots_.slots()) {
+    if (slot.top <= 0.0) continue;
+    std::vector<double> scaled = slot.item.row;
+    linalg::Scale(std::sqrt(target / slot.item.weight), scaled.data(),
                   scaled.size());
     b.AppendRow(scaled);
   }

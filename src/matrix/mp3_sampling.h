@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "hh/p3_sampling.h"
 #include "matrix/matrix_protocol.h"
 #include "util/rng.h"
 
@@ -50,7 +51,8 @@ class MP3SamplingWoR
   std::string name() const override { return "P3wor"; }
 
   size_t sample_size() const { return s_; }
-  double threshold() const { return tau_; }
+  /// The coordinator's threshold tau, the last value it broadcast.
+  double threshold() const { return broadcast_value(); }
 
  private:
   friend Core;
@@ -59,15 +61,21 @@ class MP3SamplingWoR
   static stream::MessageCost Cost(const MP3SampledRow&) {
     return stream::MessageCost{0, 0, 1};
   }
+  template <typename IO, typename M>
+  static bool Fields(IO& io, M& sr) {
+    return io.Row(sr.row) && io.Field(sr.weight) && io.Field(sr.priority);
+  }
+  DMT_UNTRUSTED_INPUT
+  bool Valid(const MP3SampledRow& sr) const {
+    return sr.weight > 0.0 && sr.priority > 0.0;
+  }
   void SiteStep(size_t site, const std::vector<double>& row);
   void Apply(size_t site, MP3SampledRow& sr);
-  void EndRoundIfNeeded();
 
   size_t s_;
   // One private generator per site (seed = base ⊕ site), so sites draw
   // priorities independently and may run on concurrent threads.
   std::vector<Rng> site_rngs_;
-  double tau_ = 1.0;
   bool tau_ever_doubled_ = false;
   std::vector<MP3SampledRow> q_cur_;
   std::vector<MP3SampledRow> q_next_;
@@ -78,8 +86,8 @@ class MP3SamplingWoR
 /// round accounting matches the per-row serial schedule.
 struct MP3Sends {
   std::vector<double> row;
-  double weight;
-  std::vector<std::pair<size_t, double>> hits;
+  double weight = 0.0;
+  std::vector<std::pair<uint64_t, double>> hits;
 };
 
 /// With-replacement row-sampling protocol (MP3wr / "P3wr").
@@ -96,28 +104,30 @@ class MP3SamplingWR : public MatrixProtocolCore<MP3SamplingWR, MP3Sends> {
  private:
   friend Core;
 
-  struct Slot {
+  struct Item {
     std::vector<double> row;
-    double weight = 0.0;
-    double top_priority = 0.0;
-    double second_priority = 0.0;
+    double weight;
   };
 
   static stream::MessageCost Cost(const MP3Sends& sends) {
     return stream::MessageCost{0, 0, sends.hits.size()};
   }
+  template <typename IO, typename M>
+  static bool Fields(IO& io, M& sends) {
+    return io.Row(sends.row) && io.Field(sends.weight) &&
+           io.Field(sends.hits);
+  }
+  DMT_UNTRUSTED_INPUT
+  bool Valid(const MP3Sends& sends) const {
+    return slots_.Accepts(sends.weight, sends.hits);
+  }
   void SiteStep(size_t site, const std::vector<double>& row);
-  void Apply(size_t site, const MP3Sends& sends);
-  void ApplySlotUpdate(size_t t, const std::vector<double>& row,
-                       double weight, double rho);
-  void EndRoundIfNeeded();
+  void Apply(size_t site, MP3Sends& sends);
 
   size_t s_;
   // One private generator per site (seed = base ⊕ site); see MP3SamplingWoR.
   std::vector<Rng> site_rngs_;
-  double tau_ = 1.0;
-  std::vector<Slot> slots_;
-  size_t slots_below_2tau_ = 0;
+  hh::SamplerSlots<Item> slots_;
 };
 
 }  // namespace matrix

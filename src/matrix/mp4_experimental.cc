@@ -25,7 +25,7 @@ MP4Experimental::MP4Experimental(size_t num_sites, double eps, uint64_t seed,
 }
 
 double MP4Experimental::CurrentP() const {
-  const double fest = weight_tracker_.EstimateAtSites();
+  const double fest = weight_tracker_.broadcast_estimate();
   if (fest <= 0.0) return std::numeric_limits<double>::infinity();
   const double m = static_cast<double>(network_.num_sites());
   return 2.0 * std::sqrt(m) / (eps_ * fest);
@@ -57,8 +57,10 @@ void MP4Experimental::ProcessRow(size_t site,
   st.gram.AddOuterProduct(1.0, row);
   if (options_.realign_rounds > 0) st.local_fd.Append(row);
 
-  // The weight report is delivered at once: MP4 runs serially only.
-  const double amount = weight_tracker_.SitePendingReport(site, w);
+  // The weight report is delivered at once: MP4 runs serially only, so
+  // every site knows the current broadcast estimate.
+  const double amount = weight_tracker_.SitePendingReport(
+      site, w, weight_tracker_.broadcast_estimate());
   if (amount > 0.0) {
     network_.RecordScalar(site);
     if (weight_tracker_.ApplyReport(amount)) {

@@ -35,20 +35,21 @@ inline constexpr size_t kFrameHeaderBytes = 16;
 inline constexpr uint8_t kFrameVersion = 1;
 /// Upper bound on a payload, as a corruption backstop: a flipped length
 /// byte must not turn into a multi-gigabyte allocation. Generous next to
-/// real payloads (the largest is an FD sketch snapshot, ~2*ell*d doubles).
+/// real payloads (the largest are sketch flushes: a site's FD buffer of
+/// d-wide rows for MP1, at most 2k counters for P1).
 inline constexpr uint32_t kMaxFramePayload = 64u * 1024u * 1024u;
 
-/// Message vocabulary. Values are wire format — append only, never renumber.
+/// Message vocabulary. Values are wire format — append only, never
+/// renumber. 4-7 are retired (per-protocol message frames, replaced by
+/// kProtocol) and must never be reused.
 enum class MsgType : uint8_t {
-  kHello = 1,            ///< site -> coordinator handshake
-  kWindowEnd = 2,        ///< site -> coordinator: window's messages all sent
-  kBroadcast = 3,        ///< coordinator -> site: broadcast state for next window
-  kHHFlush = 4,          ///< P1 batch: Misra-Gries summary snapshot + W_i
-  kMatrixScalar = 5,     ///< MP2 total-mass report F_j
-  kMatrixDirection = 6,  ///< MP2 scaled singular direction (lambda, v)
-  kFdSketch = 7,         ///< FD sketch snapshot (MP1-style payload)
-  kSiteDone = 8,         ///< site -> coordinator: stream exhausted
-  kShutdown = 9,         ///< coordinator -> site: tear the channel down
+  kHello = 1,       ///< site -> coordinator handshake
+  kWindowEnd = 2,   ///< site -> coordinator: window's messages all sent
+  kBroadcast = 3,   ///< coordinator -> site: broadcast value for next window
+  kSiteDone = 8,    ///< site -> coordinator: stream exhausted
+  kShutdown = 9,    ///< coordinator -> site: tear the channel down
+  kProtocol = 10,   ///< site -> coordinator: one protocol message, encoded
+                    ///< by the handshake's protocol (docs/PROTOCOL.md)
 };
 
 /// True when `t` names a defined MsgType.

@@ -1,9 +1,13 @@
-// Per-message payload encodings for the wire protocol (docs/PROTOCOL.md).
+// Payload encodings of the transport's own frames (docs/PROTOCOL.md):
+// handshake, window marker, broadcast and teardown. Protocol messages
+// travel in kProtocol frames, encoded by each protocol's message type next
+// to its cost (stream/protocol_core.h).
 //
-// Each message type has a struct, an Encode (append payload bytes) and a
-// Decode (parse payload bytes, false on malformed input). Encodings are
-// exact: doubles travel as their 8-byte little-endian IEEE-754 images, so
-// a decoded value is bit-identical to the encoded one — the property the
+// Each message type is a struct with a field list (util/codec.h) that
+// EncodePayload (append payload bytes) and DecodePayload (parse payload
+// bytes, false on malformed input) run. Encodings are exact: doubles
+// travel as their 8-byte little-endian IEEE-754 images, so a decoded
+// value is bit-identical to the encoded one — the property the
 // transport-equivalence tests (in-process vs TCP, bit-identical sketches)
 // rest on. Decoders never abort; wire input is untrusted.
 #ifndef DMT_NET_MESSAGES_H_
@@ -12,11 +16,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "linalg/matrix.h"
 #include "net/frame.h"
+#include "util/codec.h"
+#include "util/contracts.h"
 
 namespace dmt {
 namespace net {
@@ -27,85 +31,57 @@ struct HelloMsg {
   uint32_t num_sites = 0;   ///< m, so the coordinator can cross-check
   uint64_t num_windows = 0; ///< synchronization windows the site will run
   std::string protocol;     ///< registered protocol name, e.g. "p1"
+
+  template <typename IO, typename M>
+  static bool Fields(IO& io, M& m) {
+    return io.Field(m.site) && io.Field(m.num_sites) &&
+           io.Field(m.num_windows) && io.Field(m.protocol);
+  }
 };
 
 /// Site -> coordinator: all of window `window`'s messages have been sent.
 struct WindowEndMsg {
   uint64_t window = 0;
+
+  template <typename IO, typename M>
+  static bool Fields(IO& io, M& m) { return io.Field(m.window); }
 };
 
-/// Coordinator -> site: broadcast state to apply before the next window
-/// (P1: W-hat; MP2: F-hat as of the last broadcast).
+/// Coordinator -> site: the protocol's broadcast value as of the end of
+/// window `window`, which each site installs into its view before the
+/// next window (docs/PROTOCOL.md lists the value per protocol).
 struct BroadcastMsg {
   uint64_t window = 0;
   double value = 0.0;
-};
 
-/// P1 batch flush: the site's Misra-Gries summary snapshot plus the local
-/// weight W_i since the previous flush (Algorithm 4.1 ships "(G_i, W_i)").
-struct HHFlushMsg {
-  double weight = 0.0;           ///< W_i
-  uint32_t k = 0;                ///< summary's counter budget
-  double total_weight = 0.0;     ///< summary's processed weight
-  double total_decrement = 0.0;  ///< summary's compaction loss
-  /// Live counters, (element, weight), in the summary's canonical drain
-  /// order (weight desc, element asc — WeightedMisraGries::Items()).
-  std::vector<std::pair<uint64_t, double>> counters;
-};
-
-/// MP2 scalar total-mass report F_j.
-struct MatrixScalarMsg {
-  double value = 0.0;
-};
-
-/// MP2 shipped direction: the coordinator adds lambda * v v^T to its Gram
-/// (i.e. appends sqrt(lambda) v to B).
-struct MatrixDirectionMsg {
-  double lambda = 0.0;
-  std::vector<double> dir;
-};
-
-/// Frequent Directions sketch snapshot — the MP1-style batch payload (a
-/// whole sketch ships and merges at the coordinator).
-struct FdSketchMsg {
-  uint32_t ell = 0;
-  uint32_t dim = 0;
-  double stream_sq_frob = 0.0;
-  double total_shrinkage = 0.0;
-  linalg::Matrix rows;  ///< current sketch rows (row-major)
+  template <typename IO, typename M>
+  static bool Fields(IO& io, M& m) {
+    return io.Field(m.window) && io.Field(m.value);
+  }
 };
 
 /// Site -> coordinator: the site's stream is exhausted.
 struct SiteDoneMsg {
   uint64_t windows = 0;  ///< windows actually run (sanity cross-check)
+
+  template <typename IO, typename M>
+  static bool Fields(IO& io, M& m) { return io.Field(m.windows); }
 };
 
-void EncodeHello(const HelloMsg& m, std::vector<uint8_t>* out);
-bool DecodeHello(const uint8_t* payload, size_t n, HelloMsg* out);
+/// Appends `msg`'s payload to `out`.
+template <typename M>
+void EncodePayload(const M& msg, std::vector<uint8_t>* out) {
+  ByteWriter w(out);
+  M::Fields(w, msg);
+}
 
-void EncodeWindowEnd(const WindowEndMsg& m, std::vector<uint8_t>* out);
-bool DecodeWindowEnd(const uint8_t* payload, size_t n, WindowEndMsg* out);
-
-void EncodeBroadcast(const BroadcastMsg& m, std::vector<uint8_t>* out);
-bool DecodeBroadcast(const uint8_t* payload, size_t n, BroadcastMsg* out);
-
-void EncodeHHFlush(const HHFlushMsg& m, std::vector<uint8_t>* out);
-bool DecodeHHFlush(const uint8_t* payload, size_t n, HHFlushMsg* out);
-
-void EncodeMatrixScalar(const MatrixScalarMsg& m, std::vector<uint8_t>* out);
-bool DecodeMatrixScalar(const uint8_t* payload, size_t n,
-                        MatrixScalarMsg* out);
-
-void EncodeMatrixDirection(const MatrixDirectionMsg& m,
-                           std::vector<uint8_t>* out);
-bool DecodeMatrixDirection(const uint8_t* payload, size_t n,
-                           MatrixDirectionMsg* out);
-
-void EncodeFdSketch(const FdSketchMsg& m, std::vector<uint8_t>* out);
-bool DecodeFdSketch(const uint8_t* payload, size_t n, FdSketchMsg* out);
-
-void EncodeSiteDone(const SiteDoneMsg& m, std::vector<uint8_t>* out);
-bool DecodeSiteDone(const uint8_t* payload, size_t n, SiteDoneMsg* out);
+/// Parses a whole payload into `msg`; false on malformed input.
+template <typename M>
+DMT_UNTRUSTED_INPUT
+bool DecodePayload(const uint8_t* payload, size_t n, M* msg) {
+  ByteReader r(payload, n);
+  return M::Fields(r, *msg) && r.exhausted();
+}
 
 }  // namespace net
 }  // namespace dmt

@@ -1,6 +1,5 @@
 #include "net/remote.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "net/messages.h"
@@ -14,106 +13,6 @@ std::string MsgTypeName(MsgType t) {
 }
 
 }  // namespace
-
-void P1Wire::EncodeWindow(size_t site, FrameBatch* batch) {
-  std::vector<uint8_t> payload;
-  for (const hh::P1Flush& flush : protocol_->TakeOutbox(site)) {
-    HHFlushMsg m;
-    m.weight = flush.weight;
-    m.k = static_cast<uint32_t>(flush.summary.k());
-    m.total_weight = flush.summary.total_weight();
-    m.total_decrement = flush.summary.total_decrement();
-    m.counters = flush.summary.Items();
-    payload.clear();
-    EncodeHHFlush(m, &payload);
-    batch->Add(MsgType::kHHFlush, payload);
-  }
-}
-
-void P1Wire::ApplyBroadcast(size_t site, double value) {
-  protocol_->SetSiteBroadcastWeight(site, value);
-}
-
-bool P1Wire::ApplyFrame(size_t site, MsgType type, const uint8_t* payload,
-                        size_t n, std::string* error) {
-  if (type != MsgType::kHHFlush) {
-    *error = "p1: unexpected " + MsgTypeName(type);
-    return false;
-  }
-  HHFlushMsg m;
-  if (!DecodeHHFlush(payload, n, &m)) {
-    *error = "p1: malformed flush payload";
-    return false;
-  }
-  // The k cross-check keeps a corrupt (or mis-configured) peer from
-  // tripping the summary invariants, which are aborts, not errors.
-  if (m.k != protocol_->summary_k() ||
-      m.counters.size() > 2 * static_cast<size_t>(m.k)) {
-    *error = "p1: flush k/counter-count mismatch";
-    return false;
-  }
-  sketch::WeightedMisraGries summary(m.k);
-  summary.RestoreState(m.total_weight, m.total_decrement, m.counters);
-  protocol_->Deliver(site, hh::P1Flush{std::move(summary), m.weight});
-  return true;
-}
-
-double P1Wire::BroadcastValue() const { return protocol_->broadcast_weight(); }
-
-void MP2Wire::EncodeWindow(size_t site, FrameBatch* batch) {
-  std::vector<uint8_t> payload;
-  for (const matrix::MP2Msg& msg : protocol_->TakeOutbox(site)) {
-    payload.clear();
-    if (msg.is_scalar) {
-      EncodeMatrixScalar(MatrixScalarMsg{msg.value}, &payload);
-      batch->Add(MsgType::kMatrixScalar, payload);
-    } else {
-      EncodeMatrixDirection(MatrixDirectionMsg{msg.value, msg.dir},
-                            &payload);
-      batch->Add(MsgType::kMatrixDirection, payload);
-    }
-  }
-}
-
-void MP2Wire::ApplyBroadcast(size_t site, double value) {
-  protocol_->SetSiteFest(site, value);
-}
-
-bool MP2Wire::ApplyFrame(size_t site, MsgType type, const uint8_t* payload,
-                         size_t n, std::string* error) {
-  if (type == MsgType::kMatrixScalar) {
-    MatrixScalarMsg m;
-    if (!DecodeMatrixScalar(payload, n, &m)) {
-      *error = "mp2: malformed scalar payload";
-      return false;
-    }
-    protocol_->Deliver(site, matrix::MP2Msg{true, m.value, {}});
-    return true;
-  }
-  if (type == MsgType::kMatrixDirection) {
-    MatrixDirectionMsg m;
-    if (!DecodeMatrixDirection(payload, n, &m)) {
-      *error = "mp2: malformed direction payload";
-      return false;
-    }
-    // Dimension cross-check before delivery: the protocol treats a
-    // mismatch as a programming error (abort), but wire input is untrusted.
-    if (m.dir.empty() ||
-        (protocol_->dim() != 0 && m.dir.size() != protocol_->dim())) {
-      *error = "mp2: direction dimension mismatch";
-      return false;
-    }
-    protocol_->Deliver(site,
-                       matrix::MP2Msg{false, m.lambda, std::move(m.dir)});
-    return true;
-  }
-  *error = "mp2: unexpected " + MsgTypeName(type);
-  return false;
-}
-
-double MP2Wire::BroadcastValue() const {
-  return protocol_->last_broadcast_fest();
-}
 
 std::vector<std::vector<uint32_t>> SiteWindowIndices(
     const std::vector<size_t>& sites, size_t site,
@@ -132,22 +31,17 @@ bool RunWireSite(WireAdapter* adapter, size_t site,
                  const std::vector<std::vector<uint32_t>>& windows,
                  const std::function<void(uint32_t)>& update,
                  Connection* conn, std::string* error) {
-  {
-    HelloMsg hello;
-    hello.site = static_cast<uint32_t>(site);
-    hello.num_sites = static_cast<uint32_t>(adapter->num_sites());
-    hello.num_windows = windows.size();
-    hello.protocol = adapter->protocol_name();
-    std::vector<uint8_t> payload;
-    EncodeHello(hello, &payload);
-    if (!SendFrame(conn, MsgType::kHello, payload)) {
-      *error = "site: hello send failed";
-      return false;
-    }
+  std::vector<uint8_t> payload;
+  EncodePayload(HelloMsg{static_cast<uint32_t>(site),
+                         static_cast<uint32_t>(adapter->num_sites()),
+                         windows.size(), adapter->protocol_name()},
+                &payload);
+  if (!SendFrame(conn, MsgType::kHello, payload)) {
+    *error = "site: hello send failed";
+    return false;
   }
 
   FrameBatch batch;
-  std::vector<uint8_t> payload;
   FrameHeader header;
   for (size_t w = 0; w < windows.size(); ++w) {
     for (uint32_t idx : windows[w]) update(idx);
@@ -156,7 +50,7 @@ bool RunWireSite(WireAdapter* adapter, size_t site,
     // window-end marker leave in a single write.
     adapter->EncodeWindow(site, &batch);
     payload.clear();
-    EncodeWindowEnd(WindowEndMsg{w}, &payload);
+    EncodePayload(WindowEndMsg{w}, &payload);
     batch.Add(MsgType::kWindowEnd, payload);
     if (!batch.Flush(conn)) {
       *error = "site: window " + std::to_string(w) + " send failed";
@@ -166,7 +60,7 @@ bool RunWireSite(WireAdapter* adapter, size_t site,
     if (!RecvFrame(conn, &header, &payload, error)) return false;
     BroadcastMsg b;
     if (header.type != MsgType::kBroadcast ||
-        !DecodeBroadcast(payload.data(), payload.size(), &b) ||
+        !DecodePayload(payload.data(), payload.size(), &b) ||
         b.window != w) {
       *error = "site: expected broadcast for window " + std::to_string(w);
       return false;
@@ -175,7 +69,7 @@ bool RunWireSite(WireAdapter* adapter, size_t site,
   }
 
   payload.clear();
-  EncodeSiteDone(SiteDoneMsg{windows.size()}, &payload);
+  EncodePayload(SiteDoneMsg{windows.size()}, &payload);
   if (!SendFrame(conn, MsgType::kSiteDone, payload)) {
     *error = "site: done send failed";
     return false;
@@ -209,7 +103,7 @@ bool RunWireCoordinator(WireAdapter* adapter,
     if (!RecvFrame(conn.get(), &header, &payload, error)) return false;
     HelloMsg hello;
     if (header.type != MsgType::kHello ||
-        !DecodeHello(payload.data(), payload.size(), &hello)) {
+        !DecodePayload(payload.data(), payload.size(), &hello)) {
       *error = "coordinator: bad handshake frame";
       return false;
     }
@@ -245,10 +139,18 @@ bool RunWireCoordinator(WireAdapter* adapter,
         ++report->frames_received;
         if (header.type == MsgType::kWindowEnd) {
           WindowEndMsg end;
-          if (!DecodeWindowEnd(payload.data(), payload.size(), &end) ||
+          if (!DecodePayload(payload.data(), payload.size(), &end) ||
               end.window != w) {
             *error = "coordinator: window marker mismatch from site " +
                      std::to_string(s);
+            return false;
+          }
+          // The last site's marker ends the window's drain; the adapter
+          // runs the protocol's end-of-window step on it.
+          if (s + 1 == m && !adapter->ApplyFrame(s, header.type,
+                                                 payload.data(),
+                                                 payload.size(), error)) {
+            *error = "coordinator: window end: " + *error;
             return false;
           }
           break;
@@ -269,7 +171,7 @@ bool RunWireCoordinator(WireAdapter* adapter,
     b.window = w;
     b.value = adapter->BroadcastValue();
     payload.clear();
-    EncodeBroadcast(b, &payload);
+    EncodePayload(b, &payload);
     for (size_t s = 0; s < m; ++s) {
       if (!SendFrame((*channels)[s].get(), MsgType::kBroadcast, payload)) {
         *error = "coordinator: broadcast to site " + std::to_string(s) +
@@ -286,7 +188,7 @@ bool RunWireCoordinator(WireAdapter* adapter,
     ++report->frames_received;
     SiteDoneMsg done;
     if (header.type != MsgType::kSiteDone ||
-        !DecodeSiteDone(payload.data(), payload.size(), &done) ||
+        !DecodePayload(payload.data(), payload.size(), &done) ||
         done.windows != num_windows) {
       *error = "coordinator: bad done frame from site " + std::to_string(s);
       return false;

@@ -11,7 +11,9 @@
 //                  coordinator's kBroadcast.
 //   coordinator:   drain sites in ascending order (each until kWindowEnd),
 //                  delivering every message to its protocol instance ->
-//                  push the current broadcast value to every site.
+//                  run the end-of-window step (the last site's kWindowEnd,
+//                  handed to the adapter) -> push the current broadcast
+//                  value to every site.
 //
 // That is message-for-message the oracle's schedule — site phase, ordered
 // drain, broadcast visibility only at the window boundary — and payloads
@@ -33,24 +35,23 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
-#include "hh/p1_batched_mg.h"
-#include "matrix/mp2_svd_threshold.h"
 #include "net/transport.h"
 
 namespace dmt {
 namespace net {
 
-/// Protocol-specific serialization glue between a protocol instance's wire
-/// hooks and the frame vocabulary. One adapter wraps one instance and
-/// serves whichever half (site or coordinator) the process runs.
+/// Serialization glue between a protocol instance and the frame
+/// vocabulary. One adapter wraps one instance and serves whichever half
+/// (site or coordinator) the process runs.
 class WireAdapter {
  public:
   virtual ~WireAdapter() = default;
 
-  /// Registered protocol name carried in the handshake ("p1", "mp2").
+  /// Registered protocol name carried in the handshake ("p1", "mp2", ...).
   virtual std::string protocol_name() const = 0;
   virtual size_t num_sites() const = 0;
 
@@ -62,49 +63,12 @@ class WireAdapter {
 
   /// Coordinator half: decodes one received frame from `site` and delivers
   /// it to the protocol instance. False (with `*error`) on a malformed or
-  /// out-of-vocabulary payload — wire input is untrusted.
+  /// out-of-vocabulary payload — wire input is untrusted. RunWireCoordinator
+  /// also hands over the last site's kWindowEnd: the end-of-window step.
   virtual bool ApplyFrame(size_t site, MsgType type, const uint8_t* payload,
                           size_t n, std::string* error) = 0;
   /// Coordinator half: the broadcast value to push after a window drain.
   virtual double BroadcastValue() const = 0;
-};
-
-/// Adapter for protocol P1 (batched Misra-Gries heavy hitters).
-class P1Wire : public WireAdapter {
- public:
-  P1Wire(hh::P1BatchedMG* protocol, size_t num_sites)
-      : protocol_(protocol), num_sites_(num_sites) {}
-
-  std::string protocol_name() const override { return "p1"; }
-  size_t num_sites() const override { return num_sites_; }
-  void EncodeWindow(size_t site, FrameBatch* batch) override;
-  void ApplyBroadcast(size_t site, double value) override;
-  bool ApplyFrame(size_t site, MsgType type, const uint8_t* payload,
-                  size_t n, std::string* error) override;
-  double BroadcastValue() const override;
-
- private:
-  hh::P1BatchedMG* protocol_;
-  size_t num_sites_;
-};
-
-/// Adapter for matrix protocol MP2 (SVD-threshold tracking).
-class MP2Wire : public WireAdapter {
- public:
-  MP2Wire(matrix::MP2SvdThreshold* protocol, size_t num_sites)
-      : protocol_(protocol), num_sites_(num_sites) {}
-
-  std::string protocol_name() const override { return "mp2"; }
-  size_t num_sites() const override { return num_sites_; }
-  void EncodeWindow(size_t site, FrameBatch* batch) override;
-  void ApplyBroadcast(size_t site, double value) override;
-  bool ApplyFrame(size_t site, MsgType type, const uint8_t* payload,
-                  size_t n, std::string* error) override;
-  double BroadcastValue() const override;
-
- private:
-  matrix::MP2SvdThreshold* protocol_;
-  size_t num_sites_;
 };
 
 /// Splits a materialized site assignment into one site's per-window lists
@@ -131,14 +95,12 @@ struct WireCoordinatorReport {
   std::vector<uint64_t> bytes_to_site;
 
   uint64_t total_bytes_up() const {
-    uint64_t t = 0;
-    for (uint64_t b : bytes_from_site) t += b;
-    return t;
+    return std::accumulate(bytes_from_site.begin(), bytes_from_site.end(),
+                           uint64_t{0});
   }
   uint64_t total_bytes_down() const {
-    uint64_t t = 0;
-    for (uint64_t b : bytes_to_site) t += b;
-    return t;
+    return std::accumulate(bytes_to_site.begin(), bytes_to_site.end(),
+                           uint64_t{0});
   }
 };
 

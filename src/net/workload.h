@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "hh/hh_protocol.h"
+#include "matrix/matrix_protocol.h"
 #include "net/remote.h"
 #include "stream/simulation_driver.h"
 
@@ -25,17 +27,17 @@ namespace net {
 
 /// One distributed run's parameters (every process must agree on these).
 struct WireRunConfig {
-  std::string protocol = "p1";  ///< "p1" (HH) or "mp2" (matrix)
+  std::string protocol = "p1";  ///< a WireProtocolNames() entry
   size_t num_sites = 4;
   size_t n = 20000;             ///< stream length (items or rows)
   size_t chunk = 1024;          ///< arrivals per synchronization window
   double eps = 0.1;
   uint64_t seed = 42;
-  // HH workload (protocol == "p1"): Zipfian stream parameters.
+  // Heavy-hitter workload: Zipfian stream parameters.
   uint64_t universe = 16384;
   double skew = 2.0;
   double beta = 4.0;
-  // Matrix workload (protocol == "mp2").
+  // Matrix workload: synthetic low-rank rows of this width.
   size_t dim = 24;
   // Transport endpoint.
   std::string host = "127.0.0.1";
@@ -52,11 +54,12 @@ struct WireRunConfig {
 /// flags can coexist.
 WireRunConfig ParseWireArgs(int argc, char** argv);
 
-/// The materialized global stream: exactly one of items/rows is populated,
-/// plus the site assignment and the oracle's window schedule.
+/// The materialized global stream: exactly one of items/rows is populated
+/// (by the protocol's kind), plus the site assignment and the oracle's
+/// window schedule.
 struct WireWorkload {
-  std::vector<stream::WeightedUpdate> items;  ///< protocol == "p1"
-  std::vector<std::vector<double>> rows;      ///< protocol == "mp2"
+  std::vector<stream::WeightedUpdate> items;  ///< heavy-hitter protocols
+  std::vector<std::vector<double>> rows;      ///< matrix protocols
   std::vector<size_t> sites;                  ///< arrival i -> site
   std::vector<size_t> window_ends;            ///< stream::WindowEnds
 };
@@ -66,14 +69,24 @@ struct WireWorkload {
 WireWorkload MakeWireWorkload(const WireRunConfig& config);
 
 /// A protocol instance bundled with its wire adapter; exactly one of
-/// hh/mp is set. `adapter` is null when config.protocol is unknown.
+/// hh/mp is set, none when config.protocol is unknown.
 struct WireProtocol {
-  std::unique_ptr<hh::P1BatchedMG> hh;
-  std::unique_ptr<matrix::MP2SvdThreshold> mp;
+  std::unique_ptr<hh::HeavyHitterProtocol> hh;
+  std::unique_ptr<matrix::MatrixTrackingProtocol> mp;
   std::unique_ptr<WireAdapter> adapter;
+
+  /// Whichever of hh/mp is set.
+  const stream::Protocol& instance() const;
 };
 
-/// Instantiates the configured protocol and its adapter.
+/// Every registered protocol name: the protocol golden table's rows,
+/// lowercased (docs/PROTOCOL.md lists them).
+std::vector<std::string> WireProtocolNames();
+
+/// Instantiates the configured protocol and its adapter. Constructor
+/// values beyond (num_sites, eps, seed, dim) are derived: P2bounded sites
+/// keep ceil(4m/eps) counters, the samplers their eps-derived sample
+/// sizes, P4 one copy, and the baselines ell = k = ceil(1/eps).
 WireProtocol MakeWireProtocol(const WireRunConfig& config);
 
 /// The site-update callback RunWireSite needs: applies stream arrival
@@ -88,9 +101,10 @@ std::function<void(uint32_t)> MakeSiteUpdater(const WireWorkload& workload,
 WireProtocol RunOracle(const WireRunConfig& config,
                        const WireWorkload& workload);
 
-/// Compares two instances' final coordinator state and CommStats exactly
-/// (doubles by bit pattern). Returns "" when identical, else a
-/// human-readable description of the first difference.
+/// Compares two instances of one protocol exactly, the same way for every
+/// protocol: CommStats, per-site message counts, the broadcast value and
+/// the bits of the coordinator's answer (as the protocol golden table
+/// fingerprints it). Returns "" when identical, else what differs.
 std::string DiffWireProtocols(const WireRunConfig& config,
                               const WireProtocol& a, const WireProtocol& b);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/check.h"
+#include "util/contracts.h"
 
 namespace dmt {
 namespace sketch {
@@ -117,16 +118,26 @@ void WeightedMisraGries::Clear() {
   total_decrement_ = 0.0;
 }
 
-void WeightedMisraGries::RestoreState(
-    double total_weight, double total_decrement,
+DMT_UNTRUSTED_INPUT
+bool WeightedMisraGries::RestoreState(
+    size_t k, double total_weight, double total_decrement,
     const std::vector<std::pair<uint64_t, double>>& counters) {
-  DMT_CHECK_LE(counters.size(), 2 * k_);
+  if (k == 0 || counters.size() > 2 * k || !std::isfinite(total_weight) ||
+      !(total_weight >= 0.0) || !std::isfinite(total_decrement) ||
+      !(total_decrement >= 0.0)) {
+    return false;
+  }
+  k_ = k;
   counters_.clear();
   for (const auto& [element, weight] : counters) {
-    counters_[element] = weight;
+    if (!std::isfinite(weight) || !(weight > 0.0) ||
+        !counters_.emplace(element, weight).second) {
+      return false;
+    }
   }
   total_weight_ = total_weight;
   total_decrement_ = total_decrement;
+  return true;
 }
 
 }  // namespace sketch

@@ -60,14 +60,13 @@ class WeightedMisraGries {
   /// Drops all state (counters and weight tallies).
   void Clear();
 
-  /// Replaces all state with a deserialized snapshot (wire transport,
-  /// net/messages.h): the exact counter set plus the weight tallies. The
-  /// counter budget k is unchanged; `counters` must hold at most 2k live
-  /// entries with positive weights (what Items() of a valid summary
-  /// yields). The rebuilt summary merges bit-identically to the original —
-  /// keyed accumulation and compaction depend only on the counter
-  /// multiset, never on map iteration order.
-  void RestoreState(double total_weight, double total_decrement,
+  /// Replaces all state, k included, with a deserialized snapshot (a P1
+  /// flush off the wire). False, leaving the summary unspecified, unless
+  /// k >= 1, the tallies are finite and >= 0, and `counters` holds at most
+  /// 2k distinct elements with finite positive weights (as Items() of a
+  /// valid summary does). The rebuilt summary merges bit-identically to
+  /// the original: merging depends only on the counter multiset.
+  bool RestoreState(size_t k, double total_weight, double total_decrement,
                     const std::vector<std::pair<uint64_t, double>>& counters);
 
  private:

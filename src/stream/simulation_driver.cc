@@ -71,34 +71,29 @@ size_t HardwareThreads() {
 
 }  // namespace
 
-size_t ParseSizeArg(int argc, char** argv, const char* flag,
-                    size_t fallback) {
+const char* FindArgValue(int argc, char** argv, const char* flag) {
   const size_t flag_len = std::strlen(flag);
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strcmp(arg, flag) == 0 && i + 1 < argc) {
-      return ParseSizeValueOr(flag, argv[i + 1], fallback);
-    }
+    if (std::strcmp(arg, flag) == 0 && i + 1 < argc) return argv[i + 1];
     if (std::strncmp(arg, flag, flag_len) == 0 && arg[flag_len] == '=') {
-      return ParseSizeValueOr(flag, arg + flag_len + 1, fallback);
+      return arg + flag_len + 1;
     }
   }
-  return fallback;
+  return nullptr;
+}
+
+size_t ParseSizeArg(int argc, char** argv, const char* flag,
+                    size_t fallback) {
+  const char* value = FindArgValue(argc, argv, flag);
+  return value == nullptr ? fallback
+                          : ParseSizeValueOr(flag, value, fallback);
 }
 
 size_t ParseThreadsArg(int argc, char** argv) {
-  const char* flag = "--threads";
-  const size_t flag_len = std::strlen(flag);
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, flag) == 0 && i + 1 < argc) {
-      return ParseStrictThreadValue(flag, argv[i + 1]);
-    }
-    if (std::strncmp(arg, flag, flag_len) == 0 && arg[flag_len] == '=') {
-      return ParseStrictThreadValue(flag, arg + flag_len + 1);
-    }
-  }
-  return 0;  // absent: auto (ResolveThreadCount)
+  const char* value = FindArgValue(argc, argv, "--threads");
+  // Absent: 0, auto (ResolveThreadCount).
+  return value == nullptr ? 0 : ParseStrictThreadValue("--threads", value);
 }
 
 size_t ParseChunkArg(int argc, char** argv, size_t fallback) {

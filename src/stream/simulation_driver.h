@@ -93,6 +93,10 @@ struct SimulationOptions {
 /// determinism guarantee makes the results identical anyway.
 size_t ResolveThreadCount(size_t requested);
 
+/// The value of a `<flag> V` / `<flag>=V` command-line option, or null
+/// when absent.
+const char* FindArgValue(int argc, char** argv, const char* flag);
+
 /// Parses a `<flag> N` / `<flag>=N` command-line option (shared by benches
 /// and examples); returns `fallback` when absent.
 size_t ParseSizeArg(int argc, char** argv, const char* flag,

@@ -2,7 +2,8 @@
 // the TCP loopback socket path, and the headline guarantee — a full
 // distributed run (coordinator + site runners on real channels) finishes
 // with coordinator state and CommStats bit-identical to the in-process
-// SimulationDriver oracle, for both P1 and MP2, over both transports.
+// SimulationDriver oracle, for every registered protocol, over both
+// transports.
 #include <cstring>
 #include <memory>
 #include <string>
@@ -65,7 +66,7 @@ TEST(LocalPairTest, FramesTravelIntact) {
   m.window = 5;
   m.value = 1.0 / 3.0;
   std::vector<uint8_t> payload;
-  EncodeBroadcast(m, &payload);
+  EncodePayload(m, &payload);
   ASSERT_TRUE(SendFrame(a.get(), MsgType::kBroadcast, payload));
 
   FrameHeader header;
@@ -74,7 +75,7 @@ TEST(LocalPairTest, FramesTravelIntact) {
   ASSERT_TRUE(RecvFrame(b.get(), &header, &got, &error)) << error;
   EXPECT_EQ(header.type, MsgType::kBroadcast);
   BroadcastMsg back;
-  ASSERT_TRUE(DecodeBroadcast(got.data(), got.size(), &back));
+  ASSERT_TRUE(DecodePayload(got.data(), got.size(), &back));
   EXPECT_EQ(back.window, 5u);
   double expect = 1.0 / 3.0;
   EXPECT_EQ(std::memcmp(&back.value, &expect, sizeof(double)), 0);
@@ -101,7 +102,7 @@ TEST(TcpTransportTest, LoopbackFrameEcho) {
 
   // Client -> server frame, echoed back, intact both ways.
   std::vector<uint8_t> payload;
-  EncodeWindowEnd({99}, &payload);
+  EncodePayload(WindowEndMsg{99}, &payload);
   ASSERT_TRUE(SendFrame(client.get(), MsgType::kWindowEnd, payload));
   FrameHeader header;
   std::vector<uint8_t> got;
@@ -111,7 +112,7 @@ TEST(TcpTransportTest, LoopbackFrameEcho) {
   got.clear();
   ASSERT_TRUE(RecvFrame(client.get(), &header, &got, &error)) << error;
   WindowEndMsg back;
-  ASSERT_TRUE(DecodeWindowEnd(got.data(), got.size(), &back));
+  ASSERT_TRUE(DecodePayload(got.data(), got.size(), &back));
   EXPECT_EQ(back.window, 99u);
 
   // Both directions counted, symmetrically.
@@ -259,8 +260,32 @@ TEST_P(WireEquivalenceTest, TcpLoopbackRunMatchesOracleBitForBit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, WireEquivalenceTest,
-                         ::testing::Values("p1", "mp2"),
+                         ::testing::ValuesIn(WireProtocolNames()),
                          [](const auto& info) { return info.param; });
+
+// The CMake list that registers one loopback_smoke_<name> test per
+// protocol (and drives the CI transport smoke) names exactly the registry.
+TEST(WireRegistryTest, SmokeListMatchesTheRegistry) {
+  std::string joined;
+  for (const std::string& name : WireProtocolNames()) {
+    joined += (joined.empty() ? "" : ",") + name;
+  }
+  EXPECT_EQ(joined, DMT_WIRE_PROTOCOL_LIST);
+}
+
+// Unknown names build nothing, and two runs that differ are reported.
+TEST(WireRegistryTest, UnknownNameAndDifferingRunsAreReported) {
+  WireRunConfig config = SmallConfig("p9");
+  EXPECT_EQ(MakeWireProtocol(config).adapter, nullptr);
+  config = SmallConfig("p1");
+  const WireWorkload workload = MakeWireWorkload(config);
+  const WireProtocol oracle = RunOracle(config, workload);
+  EXPECT_EQ(DiffWireProtocols(config, oracle, RunOracle(config, workload)),
+            "");
+  config.eps = 0.1;
+  EXPECT_NE(DiffWireProtocols(config, oracle, RunOracle(config, workload)),
+            "");
+}
 
 // A site whose stream never routes it an arrival still participates in
 // every window (empty flush, broadcast sync) — the schedule is global.

@@ -12,12 +12,13 @@ namespace dmt {
 namespace hh {
 namespace {
 
-// Serial delivery of one observation: the site half's report goes straight
-// to the coordinator half, counting the scalar and any broadcast in `net`
-// the way the owning protocols do.
+// Serial delivery of one observation: the site, which knows the current
+// broadcast estimate, reports straight to the coordinator half, counting
+// the scalar and any broadcast in `net` the way the owning protocols do.
 void Observe(TotalWeightTracker* t, stream::Network* net, size_t site,
              double weight) {
-  const double amount = t->SitePendingReport(site, weight);
+  const double amount =
+      t->SitePendingReport(site, weight, t->broadcast_estimate());
   if (amount <= 0.0) return;
   net->RecordScalar(site);
   if (t->ApplyReport(amount)) {
@@ -29,9 +30,9 @@ void Observe(TotalWeightTracker* t, stream::Network* net, size_t site,
 TEST(TotalWeightTest, BootstrapsOnFirstObservation) {
   stream::Network net(4);
   TotalWeightTracker t(4);
-  EXPECT_DOUBLE_EQ(t.EstimateAtSites(), 0.0);
+  EXPECT_DOUBLE_EQ(t.broadcast_estimate(), 0.0);
   Observe(&t, &net, 0, 2.5);
-  EXPECT_GT(t.EstimateAtSites(), 0.0);
+  EXPECT_GT(t.broadcast_estimate(), 0.0);
 }
 
 // Property sweep: W-hat <= W <= 2 W-hat once bootstrapped, for any mix of
@@ -50,7 +51,7 @@ TEST_P(TotalWeightInvariantTest, TwoApproximationInvariant) {
     double w = 1.0 + 9.0 * rng.NextDouble();
     true_weight += w;
     Observe(&t, &net, router.NextSite(), w);
-    const double what = t.EstimateAtSites();
+    const double what = t.broadcast_estimate();
     ASSERT_GT(what, 0.0);
     ASSERT_LE(what, true_weight + 1e-9) << "W-hat must lower-bound W";
     ASSERT_GE(2.0 * what, true_weight - 1e-9) << "W <= 2 W-hat violated";

@@ -66,8 +66,12 @@ int main(int argc, char** argv) {
 
   dmt::net::WireProtocol protocol = dmt::net::MakeWireProtocol(config);
   if (protocol.adapter == nullptr) {
-    return Fail("unknown --protocol '" + config.protocol +
-                "' (use p1 or mp2)");
+    std::string names;
+    for (const std::string& name : dmt::net::WireProtocolNames()) {
+      names += (names.empty() ? "" : ", ") + name;
+    }
+    return Fail("unknown --protocol '" + config.protocol + "' (registered: " +
+                names + ")");
   }
   const dmt::net::WireWorkload workload =
       dmt::net::MakeWireWorkload(config);
@@ -115,12 +119,9 @@ int main(int argc, char** argv) {
     return Fail(error);
   }
 
-  const dmt::stream::CommStats& stats =
-      protocol.hh != nullptr ? protocol.hh->comm_stats()
-                             : protocol.mp->comm_stats();
-  const std::vector<uint64_t> per_site =
-      protocol.hh != nullptr ? protocol.hh->per_site_messages()
-                             : protocol.mp->per_site_messages();
+  const dmt::stream::Protocol& instance = protocol.instance();
+  const dmt::stream::CommStats& stats = instance.comm_stats();
+  const std::vector<uint64_t> per_site = instance.per_site_messages();
   std::printf("run complete: %llu frames received\n",
               static_cast<unsigned long long>(report.frames_received));
   {

@@ -59,8 +59,12 @@ int main(int argc, char** argv) {
 
   dmt::net::WireProtocol protocol = dmt::net::MakeWireProtocol(config);
   if (protocol.adapter == nullptr) {
-    return Fail("unknown --protocol '" + config.protocol +
-                "' (use p1 or mp2)");
+    std::string names;
+    for (const std::string& name : dmt::net::WireProtocolNames()) {
+      names += (names.empty() ? "" : ", ") + name;
+    }
+    return Fail("unknown --protocol '" + config.protocol + "' (registered: " +
+                names + ")");
   }
 
   if (config.port == 0) {

@@ -3,13 +3,14 @@
 # dmt_site process per site over 127.0.0.1, fixed seed, with --check
 # asserting the wire run reproduced the in-process oracle bit-for-bit.
 #
-#   tools/run_loopback_smoke.sh <tools-bin-dir> [p1|mp2]
+#   tools/run_loopback_smoke.sh <tools-bin-dir> [protocol]
 #
-# Used as a ctest (loopback_smoke_p1 / loopback_smoke_mp2) and by the CI
-# transport-smoke job.
+# `protocol` is any registered wire protocol name (default p1). CMake
+# registers one ctest per name, loopback_smoke_<name>, from its
+# DMT_WIRE_PROTOCOLS list; the CI transport-smoke job runs those ctests.
 set -euo pipefail
 
-BIN_DIR=${1:?usage: run_loopback_smoke.sh <tools-bin-dir> [p1|mp2]}
+BIN_DIR=${1:?usage: run_loopback_smoke.sh <tools-bin-dir> [protocol]}
 PROTOCOL=${2:-p1}
 
 SITES=2
